@@ -31,13 +31,6 @@ namespace ops {
  */
 Tensor spmm(const SparseMatrix &a, const Tensor &b);
 
-/**
- * @deprecated CSR-only entry point kept for one release; use
- * `ops::spmm(const SparseMatrix &, const Tensor &)`.
- */
-[[deprecated("use ops::spmm(const SparseMatrix &, const Tensor &)")]]
-Tensor spmm(const CsrMatrix &a, const Tensor &b);
-
 } // namespace ops
 } // namespace gnnmark
 

@@ -170,7 +170,6 @@ TEST(Dispatch, StatsCountExecutedOps)
     EXPECT_EQ(s.spmmCoo, 1);
     EXPECT_EQ(s.spmmBell, 0);
     EXPECT_TRUE(s.calibrated);
-    EXPECT_EQ(s.mode, "model");
     d.resetStats();
     const ops::DispatchStats z = d.stats();
     EXPECT_EQ(z.gemmNaive + z.gemmTiled + z.spmmCsrScalar +

@@ -6,32 +6,18 @@
 # Invoke as
 #   cmake -DGNNMARK_BIN=<path-to-gnnmark> -P alloc_identity.cmake
 
-if(NOT DEFINED GNNMARK_BIN)
-    message(FATAL_ERROR "pass -DGNNMARK_BIN=<gnnmark binary>")
-endif()
+cmake_minimum_required(VERSION 3.19)
+include(${CMAKE_CURRENT_LIST_DIR}/test_helpers.cmake)
+require_vars(GNNMARK_BIN)
 
 set(workloads
     PSAGE-MVL PSAGE-NWP STGCN DGCN GW KGNNL KGNNH ARGA TLSTM)
 
-function(run_mode mode wl out_var)
-    set(ENV{GNNMARK_ALLOC} ${mode})
-    execute_process(
-        COMMAND ${GNNMARK_BIN} run ${wl} --scale 0.2 --iters 2 --json
-        RESULT_VARIABLE rv
-        OUTPUT_VARIABLE out
-        ERROR_QUIET)
-    unset(ENV{GNNMARK_ALLOC})
-    if(NOT rv EQUAL 0)
-        message(FATAL_ERROR
-            "gnnmark run ${wl} (GNNMARK_ALLOC=${mode}) "
-            "exited with '${rv}'")
-    endif()
-    set(${out_var} "${out}" PARENT_SCOPE)
-endfunction()
-
 foreach(wl IN LISTS workloads)
-    run_mode(system ${wl} system_json)
-    run_mode(caching ${wl} caching_json)
+    foreach(mode system caching)
+        run_checked(${mode}_json ENV GNNMARK_ALLOC=${mode}
+            COMMAND ${GNNMARK_BIN} run ${wl} --scale 0.2 --iters 2 --json)
+    endforeach()
     if(NOT system_json STREQUAL caching_json)
         message(FATAL_ERROR
             "${wl}: --json report differs between GNNMARK_ALLOC="

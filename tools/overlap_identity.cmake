@@ -1,38 +1,38 @@
 # Overlap-model gates, run under ctest:
 #
 #  1. Determinism: `gnnmark scaling --json` is byte-identical across
-#     two separate processes, in each --overlap mode. (Separate
-#     processes so allocator free lists and the device VA arena cannot
-#     carry state between the runs.)
-#  2. Model invariants across the two modes, checked on the parsed
-#     numbers: with --overlap off every point reports
-#     comm_exposed_sec == comm_time_sec and overlap_frac == 0; with
-#     --overlap on exposure never exceeds the total.
+#     two separate processes, in each --overlap mode, whether or not
+#     --telemetry is armed. (Separate processes so allocator free
+#     lists and the device VA arena cannot carry state between runs.)
+#  2. Model invariants across the two modes, checked point by point
+#     on the parsed numbers: compute time is identical in both modes;
+#     with --overlap off comm_exposed_sec == comm_time_sec and
+#     overlap_frac == 0; with --overlap on exposure never exceeds the
+#     total, the epoch is never slower than the sync epoch, world size
+#     1 has no communication, and some point hides communication.
+#  3. The --overlap on telemetry matches the committed DDP baseline
+#     bench/baselines/scaling_scale0.25_iters2.jsonl.
 #
 # Invoke as
-#   cmake -DGNNMARK_BIN=<path-to-gnnmark> -P overlap_identity.cmake
+#   cmake -DGNNMARK_BIN=<gnnmark> -DBENCH_DIFF_BIN=<bench_diff>
+#         -DBASELINES=<bench/baselines> -P overlap_identity.cmake
 
-if(NOT DEFINED GNNMARK_BIN)
-    message(FATAL_ERROR "pass -DGNNMARK_BIN=<gnnmark binary>")
-endif()
+cmake_minimum_required(VERSION 3.19)
+include(${CMAKE_CURRENT_LIST_DIR}/test_helpers.cmake)
+require_vars(GNNMARK_BIN BENCH_DIFF_BIN BASELINES)
 
-function(run_scaling mode out_var)
-    execute_process(
-        COMMAND ${GNNMARK_BIN} scaling --scale 0.2 --iters 2
-                --overlap ${mode} --json
-        RESULT_VARIABLE rv
-        OUTPUT_VARIABLE out
-        ERROR_QUIET)
-    if(NOT rv EQUAL 0)
-        message(FATAL_ERROR
-            "gnnmark scaling --overlap ${mode} exited with '${rv}'")
-    endif()
-    set(${out_var} "${out}" PARENT_SCOPE)
-endfunction()
-
+set(scaling_args scaling --scale 0.25 --iters 2 --json)
+set(telemetry overlap_identity_telemetry.jsonl)
 foreach(mode on off)
-    run_scaling(${mode} first)
-    run_scaling(${mode} second)
+    if(mode STREQUAL "on")
+        set(sink --telemetry ${telemetry})
+    else()
+        set(sink)
+    endif()
+    run_checked(first COMMAND ${GNNMARK_BIN} ${scaling_args}
+        --overlap ${mode} ${sink})
+    run_checked(second COMMAND ${GNNMARK_BIN} ${scaling_args}
+        --overlap ${mode})
     if(NOT first STREQUAL second)
         message(FATAL_ERROR
             "scaling --overlap ${mode} differs between two runs — "
@@ -42,51 +42,76 @@ foreach(mode on off)
     message(STATUS "--overlap ${mode}: deterministic across processes")
 endforeach()
 
-# Pull every scaling point's {comm, exposed, frac} triple out of the
-# flat JSON with a regex; one match per (workload, world) pair.
-set(point_re
-    "\"comm_time_sec\":([0-9.e+-]+),\"comm_exposed_sec\":([0-9.e+-]+),\"overlap_frac\":([0-9.e+-]+)")
+run_checked(unused COMMAND ${BENCH_DIFF_BIN}
+    ${BASELINES}/scaling_scale0.25_iters2.jsonl ${telemetry}
+    --tol 0.05 --abs 1e-8)
+file(REMOVE ${telemetry})
+message(STATUS "scaling telemetry matches the committed baseline")
 
-string(REGEX MATCHALL "${point_re}" off_points "${json_off}")
-if(off_points STREQUAL "")
-    message(FATAL_ERROR "no scaling points found in --overlap off JSON")
+string(JSON workloads LENGTH "${json_on}" fig9_scaling)
+string(JSON workloads_off LENGTH "${json_off}" fig9_scaling)
+if(workloads EQUAL 0 OR NOT workloads EQUAL workloads_off)
+    message(FATAL_ERROR
+        "--overlap on/off report ${workloads}/${workloads_off} workloads")
 endif()
-foreach(point IN LISTS off_points)
-    string(REGEX REPLACE "${point_re}" "\\1;\\2;\\3" triple "${point}")
-    list(GET triple 0 total)
-    list(GET triple 1 exposed)
-    list(GET triple 2 frac)
-    if(NOT total STREQUAL exposed)
-        message(FATAL_ERROR
-            "--overlap off: comm_exposed_sec ${exposed} != "
-            "comm_time_sec ${total} — the sync model must be fully "
-            "serialized")
-    endif()
-    if(NOT frac STREQUAL "0")
-        message(FATAL_ERROR
-            "--overlap off: overlap_frac ${frac} != 0")
-    endif()
-endforeach()
-message(STATUS "--overlap off: every point fully exposed (legacy model)")
-
-string(REGEX MATCHALL "${point_re}" on_points "${json_on}")
+math(EXPR last_wl "${workloads} - 1")
 set(hidden_somewhere FALSE)
-foreach(point IN LISTS on_points)
-    string(REGEX REPLACE "${point_re}" "\\1;\\2;\\3" triple "${point}")
-    list(GET triple 0 total)
-    list(GET triple 1 exposed)
-    if(exposed GREATER total)
+foreach(i RANGE ${last_wl})
+    string(JSON wl MEMBER "${json_on}" fig9_scaling ${i})
+    string(JSON wl_off MEMBER "${json_off}" fig9_scaling ${i})
+    string(JSON points LENGTH "${json_on}" fig9_scaling ${wl})
+    string(JSON points_off LENGTH "${json_off}" fig9_scaling ${wl_off})
+    if(NOT wl STREQUAL wl_off OR NOT points EQUAL points_off)
         message(FATAL_ERROR
-            "--overlap on: comm_exposed_sec ${exposed} > "
-            "comm_time_sec ${total}")
+            "${wl}: --overlap on/off report different scaling points")
     endif()
-    if(exposed LESS total)
-        set(hidden_somewhere TRUE)
-    endif()
+    math(EXPR last_pt "${points} - 1")
+    foreach(j RANGE ${last_pt})
+        foreach(mode on off)
+            string(JSON point GET "${json_${mode}}" fig9_scaling ${wl} ${j})
+            foreach(field world_size compute_time_sec comm_time_sec
+                          comm_exposed_sec overlap_frac epoch_time_sec)
+                string(JSON ${field}_${mode} GET "${point}" ${field})
+            endforeach()
+        endforeach()
+        set(at "${wl} w${world_size_on}")
+        # The toggle only touches the comm model: compute is
+        # bit-identical between the two runs.
+        if(NOT compute_time_sec_on STREQUAL compute_time_sec_off)
+            message(FATAL_ERROR
+                "${at}: compute differs across --overlap modes")
+        endif()
+        # Sync model: fully serialized, nothing hidden.
+        if(NOT comm_exposed_sec_off STREQUAL comm_time_sec_off OR
+           NOT overlap_frac_off EQUAL 0)
+            message(FATAL_ERROR
+                "${at}: --overlap off exposes ${comm_exposed_sec_off} of "
+                "${comm_time_sec_off} s (frac ${overlap_frac_off}); the "
+                "sync model must be fully serialized")
+        endif()
+        # Overlap model: exposure bounded by the total, and the epoch
+        # never worse than the sync epoch.
+        if(comm_exposed_sec_on GREATER comm_time_sec_on)
+            message(FATAL_ERROR
+                "${at}: --overlap on exposes ${comm_exposed_sec_on} > "
+                "comm_time_sec ${comm_time_sec_on}")
+        endif()
+        if(epoch_time_sec_on GREATER epoch_time_sec_off)
+            message(FATAL_ERROR
+                "${at}: overlap-on epoch ${epoch_time_sec_on} s slower "
+                "than the sync epoch ${epoch_time_sec_off} s")
+        endif()
+        if(world_size_on EQUAL 1 AND NOT comm_time_sec_on EQUAL 0)
+            message(FATAL_ERROR "${at}: a single GPU communicates")
+        endif()
+        if(comm_exposed_sec_on LESS comm_time_sec_on)
+            set(hidden_somewhere TRUE)
+        endif()
+    endforeach()
 endforeach()
 if(NOT hidden_somewhere)
     message(FATAL_ERROR
         "--overlap on: no point hides any communication — overlap "
         "model inert")
 endif()
-message(STATUS "--overlap on: exposure bounded by total, some hidden")
+message(STATUS "overlap invariants hold for ${workloads} workloads")
