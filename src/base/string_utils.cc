@@ -1,7 +1,11 @@
 #include "base/string_utils.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace gnnmark {
 
@@ -32,6 +36,31 @@ split(const std::string &s, char delim)
     }
     out.push_back(cur);
     return out;
+}
+
+bool
+parseNumber(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (std::isspace(static_cast<unsigned char>(text[0])) ||
+        end == text.c_str() || *end != '\0' || !std::isfinite(value))
+        return false;
+    out = value;
+    return true;
+}
+
+bool
+parseNumber(const std::string &text, int64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (std::isspace(static_cast<unsigned char>(text[0])) ||
+        end == text.c_str() || *end != '\0' || errno == ERANGE)
+        return false;
+    out = value;
+    return true;
 }
 
 std::string

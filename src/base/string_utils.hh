@@ -6,6 +6,7 @@
 #ifndef GNNMARK_BASE_STRING_UTILS_HH
 #define GNNMARK_BASE_STRING_UTILS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,16 @@ std::string join(const std::vector<std::string> &pieces,
 
 /** Split on a single-character delimiter (no empty-piece suppression). */
 std::vector<std::string> split(const std::string &s, char delim);
+
+/**
+ * Parse the whole of `text` as a finite number: no leading blanks, no
+ * trailing characters, no inf or nan. Returns false, leaving `out`
+ * untouched, on anything else.
+ */
+bool parseNumber(const std::string &text, double &out);
+
+/** Integer twin of parseNumber(): base 10, within int64 range. */
+bool parseNumber(const std::string &text, int64_t &out);
 
 /** printf-style formatting into a std::string. */
 std::string strfmt(const char *fmt, ...)

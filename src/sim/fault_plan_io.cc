@@ -1,8 +1,5 @@
 #include "sim/fault_plan_io.hh"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -29,9 +26,7 @@ splitKeyValue(const std::string &token, const std::string &context,
     }
     key = token.substr(0, eq);
     const std::string text = token.substr(eq + 1);
-    char *end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
+    if (!parseNumber(text, value)) {
         throw IoError(IoError::Kind::Corrupt,
                       context + ": bad number '" + text + "' for field '" +
                           key + "'");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "base/string_utils.hh"
 #include "base/units.hh"
 
@@ -48,6 +50,40 @@ TEST(StringUtils, FixedAndPercent)
     EXPECT_EQ(fixed(1.23456, 2), "1.23");
     EXPECT_EQ(percent(0.343, 1), "34.3%");
     EXPECT_EQ(percent(1.0, 0), "100%");
+}
+
+TEST(StringUtils, ParseNumberTakesWholeFiniteTokens)
+{
+    const std::pair<const char *, double> good[] = {
+        {"0.25", 0.25}, {"-3", -3}, {"+2", 2}, {"1e3", 1000}, {"2.5E-1", 0.25}};
+    for (const auto &[text, want] : good) {
+        double d = 0;
+        EXPECT_TRUE(parseNumber(text, d)) << text;
+        EXPECT_EQ(d, want) << text;
+    }
+    for (const char *bad : {"", " 5", "5 ", "5%", "abc", "1.2.3", "e3", "inf",
+                            "-inf", "nan", "infinity", "1e999"}) {
+        double d = 7;
+        EXPECT_FALSE(parseNumber(bad, d)) << "'" << bad << "'";
+        EXPECT_EQ(d, 7.0) << "'" << bad << "' wrote its output";
+    }
+}
+
+TEST(StringUtils, ParseNumberIntegers)
+{
+    const std::pair<const char *, int64_t> good[] = {
+        {"42", 42}, {"-3", -3}, {"+2", 2}, {"9223372036854775807", INT64_MAX}};
+    for (const auto &[text, want] : good) {
+        int64_t n = 0;
+        EXPECT_TRUE(parseNumber(text, n)) << text;
+        EXPECT_EQ(n, want) << text;
+    }
+    for (const char *bad : {"", " 5", "5x", "1.5", "1e3", "0x10", "nan",
+                            "9223372036854775808"}) {
+        int64_t n = 7;
+        EXPECT_FALSE(parseNumber(bad, n)) << "'" << bad << "'";
+        EXPECT_EQ(n, 7) << "'" << bad << "' wrote its output";
+    }
 }
 
 TEST(Units, FormatBytes)

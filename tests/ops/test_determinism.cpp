@@ -9,11 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <tuple>
 #include <vector>
 
 #include "base/rng.hh"
 #include "base/thread_pool.hh"
+#include "common/random_csr.hh"
 #include "core/suite.hh"
 #include "ops/exec_context.hh"
 #include "ops/gemm.hh"
@@ -21,6 +21,7 @@
 #include "sim/gpu_device.hh"
 
 using namespace gnnmark;
+using test::randomCsr;
 
 namespace {
 
@@ -126,22 +127,6 @@ bitwiseEqual(const Tensor &a, const Tensor &b)
            std::memcmp(a.data(), b.data(),
                        static_cast<size_t>(a.numel()) * sizeof(float)) ==
                0;
-}
-
-CsrMatrix
-randomCsr(Rng &rng, int64_t rows, int64_t cols, double density)
-{
-    std::vector<std::tuple<int32_t, int32_t, float>> triples;
-    for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-            if (rng.bernoulli(density)) {
-                triples.emplace_back(
-                    static_cast<int32_t>(r), static_cast<int32_t>(c),
-                    static_cast<float>(rng.normal()));
-            }
-        }
-    }
-    return csrFromTriples(rows, cols, std::move(triples));
 }
 
 } // namespace

@@ -12,12 +12,14 @@
 #include <vector>
 
 #include "base/rng.hh"
+#include "common/random_csr.hh"
 #include "ops/dispatch.hh"
 #include "ops/gemm.hh"
 #include "ops/spmm.hh"
 #include "tensor/sparse.hh"
 
 using namespace gnnmark;
+using test::randomCsr;
 using ops::Dispatch;
 using ops::GemmVariant;
 using ops::SpmmVariant;
@@ -42,22 +44,6 @@ class ScopedOpEnv
   private:
     const char *name_;
 };
-
-CsrMatrix
-randomCsr(Rng &rng, int64_t rows, int64_t cols, double density)
-{
-    std::vector<std::tuple<int32_t, int32_t, float>> triples;
-    for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-            if (rng.bernoulli(density)) {
-                triples.emplace_back(
-                    static_cast<int32_t>(r), static_cast<int32_t>(c),
-                    static_cast<float>(rng.normal()));
-            }
-        }
-    }
-    return csrFromTriples(rows, cols, std::move(triples));
-}
 
 } // namespace
 

@@ -13,29 +13,15 @@
 #include <cstring>
 
 #include "base/rng.hh"
+#include "common/random_csr.hh"
 #include "ops/exec_context.hh"
 #include "ops/spmm.hh"
 #include "profiler/profiler.hh"
 
 using namespace gnnmark;
+using test::randomCsr;
 
 namespace {
-
-CsrMatrix
-randomCsr(Rng &rng, int64_t rows, int64_t cols, double density)
-{
-    std::vector<std::tuple<int32_t, int32_t, float>> triples;
-    for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-            if (rng.bernoulli(density)) {
-                triples.emplace_back(
-                    static_cast<int32_t>(r), static_cast<int32_t>(c),
-                    static_cast<float>(rng.normal()));
-            }
-        }
-    }
-    return csrFromTriples(rows, cols, std::move(triples));
-}
 
 bool
 bitwiseEqual(const Tensor &a, const Tensor &b)

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "base/io.hh"
+#include "base/string_utils.hh"
 #include "obs/bench_compare.hh"
 #include "obs/json.hh"
 
@@ -57,6 +58,18 @@ usage()
     std::exit(2);
 }
 
+/** A tolerance argument: a whole, finite, non-negative number. */
+double
+tolerance(const std::string &text)
+{
+    double value = 0;
+    if (!parseNumber(text, value) || value < 0) {
+        std::cerr << "bad tolerance: '" << text << "'\n";
+        usage();
+    }
+    return value;
+}
+
 } // namespace
 
 int
@@ -75,22 +88,22 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--tol") {
-            opts.defaultTolerance = std::atof(next());
+            opts.defaultTolerance = tolerance(next());
         } else if (a == "--abs") {
-            opts.absoluteFloor = std::atof(next());
+            opts.absoluteFloor = tolerance(next());
         } else if (a == "--tol-prefix") {
             const std::string spec = next();
             const size_t eq = spec.find('=');
             if (eq == std::string::npos || eq == 0)
                 usage();
             opts.tolerances[spec.substr(0, eq)] =
-                std::atof(spec.c_str() + eq + 1);
+                tolerance(spec.substr(eq + 1));
         } else if (a == "--ignore") {
             opts.ignoreSubstrings.push_back(next());
         } else if (a == "--hist-pct") {
             opts.histogramPercentiles = true;
         } else if (a == "--hist-tol") {
-            opts.histogramTolerance = std::atof(next());
+            opts.histogramTolerance = tolerance(next());
         } else if (a == "--allow-missing") {
             opts.allowMissing = true;
         } else if (a == "--quiet") {

@@ -48,6 +48,15 @@ expect_exit(0 ${BENCH_DIFF_BIN} ${tele_a} ${tele_bad} --allow-missing)
 
 # Harness errors are exit 2, never 0 or a "perf" 1.
 expect_exit(2 ${BENCH_DIFF_BIN} ${tele_a})                       # one arg
+# A tolerance must be a plain non-negative number: "5%" once read as
+# 5.0 (500%) and passed a 3x regression that 0.05 fails.
+set(tol_base ${CMAKE_CURRENT_BINARY_DIR}/bench_diff_smoke_tol_base.jsonl)
+file(WRITE ${tol_base} "{\"type\":\"x\",\"v\":1.0}\n")
+file(WRITE ${tele_bad} "{\"type\":\"x\",\"v\":3.0}\n")
+expect_exit(1 ${BENCH_DIFF_BIN} ${tol_base} ${tele_bad} --tol 0.05)
+expect_exit(2 ${BENCH_DIFF_BIN} ${tol_base} ${tele_bad} --tol 5%)
+expect_exit(2 ${BENCH_DIFF_BIN} ${tol_base} ${tele_bad} --tol -0.05)
+file(REMOVE ${tol_base})
 expect_exit(2 ${BENCH_DIFF_BIN} ${tele_a} no-such-file.jsonl)    # IoError
 file(WRITE ${tele_bad} "{not json\n")
 expect_exit(2 ${BENCH_DIFF_BIN} ${tele_a} ${tele_bad})           # bad JSON

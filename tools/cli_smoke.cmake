@@ -34,6 +34,25 @@ expect_exit(2 ${gnnmark} gen --family rmat --bogus)  # unknown option
 # Chunking must be positive; gamma must be > 2.
 expect_exit(2 ${gnnmark} gen --family rmat --chunks 0)
 expect_exit(2 ${gnnmark} gen --family hyperbolic --gamma 2.0)
+# Numbers must parse whole and lie in the flag's range: each of these
+# used to crash (segfault or GNN_ASSERT abort) or run misconfigured.
+expect_exit(2 ${gnnmark} run STGCN --iters 0)
+expect_exit(2 ${gnnmark} run STGCN --iters abc)
+expect_exit(2 ${gnnmark} faults STGCN --iters 0)
+expect_exit(2 ${gnnmark} faults STGCN --interval -3)
+expect_exit(2 ${gnnmark} scaling --iters 0)
+expect_exit(2 ${gnnmark} sweep STGCN --points abc)
+expect_exit(2 ${gnnmark} sweep STGCN --param sms --points 0)
+expect_exit(2 ${gnnmark} serve --seed -1)
+expect_exit(2 ${gnnmark} serve --rps banana)
+# A flag only works with the verbs that read it.
+expect_exit(2 ${gnnmark} list --weak)
+expect_exit(2 ${gnnmark} ops --scale 1)
+expect_exit(2 ${gnnmark} trace info x --l2 4)
+expect_exit(2 ${gnnmark} characterize --csv)        # removed, never read
+# Operands beyond the verb's own are stray.
+expect_exit(2 ${gnnmark} list extra)
+expect_exit(2 ${gnnmark} run STGCN extra)
 expect_exit(0 ${gnnmark} list)                      # healthy baseline
 
 # The "not a crash" checks above hold only if run_checked() tells a

@@ -1,52 +1,28 @@
 /**
  * @file
  * The `gnnmark` command-line driver — the front door a downstream user
- * runs, mirroring the run scripts of the original suite.
- *
- *   gnnmark list
- *   gnnmark run <workload> [--scale S] [--iters N] [--inference]
- *                          [--chrome-trace PATH]
- *   gnnmark characterize [--scale S] [--iters N] [--csv]
- *   gnnmark scaling [--scale S] [--weak] [--overlap on|off]
- *                   [--telemetry PATH]
- *   gnnmark ttt [--scale S] [--target F]
- *   gnnmark faults <workload> [--scale S] [--iters N] [--interval K]
- *                             [--plan FILE] [--save-plan FILE]
- *   gnnmark serve [--arrival poisson|bursty|diurnal] [--rps R]
- *                 [--duration S] [--slo-ms MS] [--replicas N]
- *                 [--batch-max K] [--faults SCENARIO] [--plan FILE]
- *                 [--save-plan FILE] [--hedge on|off] [--shed on|off]
- *                 [--fallback on|off] [--seed N] [--json]
- *                 [--telemetry PATH] [--window MS] [--slo-target F]
- *                 [--trace-requests [N]] [--chrome-trace PATH]
- *   gnnmark trace record <workload> [--out PATH] [--scale S] [--iters N]
- *   gnnmark trace replay <file> [--l2 MIB] [--l1 KIB] [--sms N]
- *                               [--chrome-trace PATH]
- *   gnnmark trace info <file>
- *   gnnmark trace diff <a> <b>
- *   gnnmark sweep (<workload> | --trace FILE) [--param l2|l1|sms|world]
- *                 [--points V,V,...] [--overlap on|off]
- *   gnnmark ops [--seed N] [--json] [--telemetry PATH]
- *   gnnmark gen --family rmat|rgg2d|hyperbolic|grid2d [--n N] [--m M]
- *               [--degree D] [--chunks C] [--lookahead L] [--seed N]
- *               [--gamma G] [--grid-rows R] [--grid-cols C] [--wrap]
- *               [--stream] [--stats] [--train-window N] [--json]
- *               [--telemetry PATH]
+ * runs, mirroring the run scripts of the original suite. Each verb is
+ * one row of kVerbs and each flag one row of kFlags (bottom of this
+ * file): parsing, per-verb acceptance, range checks and the usage text
+ * all come from those rows. `gnnmark` with no arguments prints them.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
-#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "base/io.hh"
 #include "base/rng.hh"
 #include "base/logging.hh"
+#include "base/string_utils.hh"
 #include "base/table.hh"
 #include "base/thread_pool.hh"
 #include "base/units.hh"
@@ -83,390 +59,60 @@ using namespace gnnmark;
 
 namespace {
 
+struct Verb;
+
+/** The parsed command line; each kFlags row binds one option member. */
 struct Args
 {
-    std::string command;
-    std::string sub;      ///< trace subcommand (record/replay/info/diff)
-    std::string workload;
-    std::vector<std::string> files; ///< positional paths (trace cmds)
-    double scale = 1.0;
-    int iterations = 6;
-    bool iterationsSet = false;
+    const Verb *verb = nullptr;
+    std::vector<std::string> operands; ///< workload or trace paths
+    double scale = 1.0, target = 0.85;
+    int iterations = 0; ///< 0 = the verb's default
     int interval = 12;
-    double target = 0.85;
-    bool inference = false;
-    bool weak = false;
-    bool csv = false;
-    bool memstats = false;   ///< --memstats allocator report
-    bool opstats = false;    ///< --opstats dispatch report
-    std::string out;         ///< --out (trace record)
-    std::string tracePath;   ///< --trace (sweep)
-    std::string chromePath;  ///< --chrome-trace
-    std::string telemetryPath; ///< --telemetry (JSONL sink)
-    bool json = false;       ///< --json report documents
-    std::string overlap = "on"; ///< --overlap on|off (scaling, sweep)
-    std::string param = "l2"; ///< --param (sweep)
-    std::string points;      ///< --points (sweep)
-    double l2Mib = 0;        ///< --l2 replay override (0 = recorded)
-    double l1Kib = 0;        ///< --l1 replay override (0 = recorded)
-    int sms = 0;             ///< --sms replay override (0 = recorded)
+    bool inference = false, weak = false, memstats = false, opstats = false;
+    bool json = false;
+    std::string out, tracePath, chromePath, telemetryPath;
+    std::string overlap = "on", param = "l2";
+    std::vector<double> points;  ///< empty = the parameter's defaults
+    double l2Mib = 0, l1Kib = 0; ///< replay overrides, 0 = as recorded
+    int sms = 0;                 ///< replay override, 0 = as recorded
 
-    /** @{ Serving (serve) and fault-plan options. */
-    std::string arrival = "poisson"; ///< --arrival process family
-    double rps = 0;           ///< --rps (0 = sized from capacity)
-    double durationSec = 2.0; ///< --duration (arrival horizon, sec)
-    double sloMs = 0;         ///< --slo-ms (0 = sized from batch cost)
-    int replicas = 3;         ///< --replicas
-    int batchMax = 8;         ///< --batch-max
-    std::string faultsScenario = "none"; ///< --faults scenario
-    std::string planPath;     ///< --plan (load a fault plan file)
-    std::string savePlanPath; ///< --save-plan (write the plan used)
-    std::string hedge = "on";    ///< --hedge on|off
-    std::string shed = "on";     ///< --shed on|off
-    std::string fallback = "on"; ///< --fallback on|off
-    uint64_t seed = 42;       ///< --seed
-    double windowMs = 0;      ///< --window (0 = no timeline)
-    double sloTarget = 0.99;  ///< --slo-target (burn-rate budget)
-    int64_t traceSampleEvery = 0; ///< --trace-requests (0 = off)
-    /** @} */
+    // Serving and fault plans.
+    std::string arrival = "poisson";
+    double rps = 0, sloMs = 0; ///< 0 = sized from the batch cost
+    double durationSec = 2.0;
+    int replicas = 3, batchMax = 8;
+    std::string faultsScenario = "none", planPath, savePlanPath;
+    std::string hedge = "on", shed = "on", fallback = "on";
+    uint64_t seed = 42;
+    double windowMs = 0, sloTarget = 0.99;
+    int64_t traceSampleEvery = 0; ///< 0 = request tracing off
 
-    /** @{ Generation (gen) options; defaults mirror GeneratorConfig. */
-    std::string family;       ///< --family (required for gen)
-    int64_t genN = 1 << 16;   ///< --n
-    int64_t genM = 0;         ///< --m (0 = derive from --degree)
-    double degree = 8.0;      ///< --degree
-    int chunks = 8;           ///< --chunks
-    int lookahead = 4;        ///< --lookahead
-    double gamma = 2.8;       ///< --gamma
-    int64_t gridRows = 0;     ///< --grid-rows
-    int64_t gridCols = 0;     ///< --grid-cols
-    bool gridWrap = false;    ///< --wrap
-    bool stream = false;      ///< --stream: train over the stream
-    bool stats = false;       ///< --stats: degree-distribution shape
-    int64_t trainWindow = 0;  ///< --train-window (chunks, 0 = off)
-    /** @} */
+    // Generation; the defaults mirror GeneratorConfig.
+    std::string family;
+    int64_t genN = 1 << 16, genM = 0; ///< genM 0 = derive from degree
+    double degree = 8.0, gamma = 2.8;
+    int chunks = 8, lookahead = 4;
+    int64_t gridRows = 0, gridCols = 0, trainWindow = 0;
+    bool gridWrap = false, stream = false, stats = false;
 };
 
-[[noreturn]] void
-usage()
+/** A command-line mistake: main() prints it with the usage, exit 2. */
+struct UsageError : std::runtime_error
 {
-    std::cerr <<
-        "usage: gnnmark <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                       print the suite inventory\n"
-        "  run <workload>             train + profile one workload\n"
-        "  characterize               profile the whole suite\n"
-        "  scaling                    DDP strong scaling over 1/2/4 GPUs\n"
-        "  ttt                        MLPerf-style time-to-train\n"
-        "  faults <workload>          fault-injected DDP run with\n"
-        "                             checkpoint/resume + elastic recovery\n"
-        "  serve                      SLO-aware inference serving sim:\n"
-        "                             admission control, deadline\n"
-        "                             batching, hedging, degradation\n"
-        "  trace record <workload>    capture a run into a trace file\n"
-        "  trace replay <file>        re-characterize from a trace\n"
-        "  trace info <file>          per-op-class trace statistics\n"
-        "  trace diff <a> <b>         compare two traces' streams\n"
-        "  sweep                      L1/L2/SM sensitivity sweep, live\n"
-        "                             (<workload>) or trace-driven\n"
-        "                             (--trace FILE)\n"
-        "  ops                        operator roofline sweep: run the\n"
-        "                             GEMM/SpMM variants over shapes,\n"
-        "                             sparsities and storage formats on\n"
-        "                             the simulated V100\n"
-        "  gen                        chunked parallel graph generation:\n"
-        "                             stream synthetic graphs through\n"
-        "                             neighbour-sampled minibatch\n"
-        "                             training without materializing\n"
-        "                             them\n"
-        "\n"
-        "options:\n"
-        "  --scale S      dataset scale factor (default 1.0)\n"
-        "  --iters N      measured iterations (default 6; faults: 48)\n"
-        "  --interval K   iterations between checkpoints (default 12,\n"
-        "                 0 disables; faults only)\n"
-        "  --target F     time-to-train loss fraction (default 0.85)\n"
-        "  --inference    forward passes only\n"
-        "  --memstats     append a host-allocator report (run,\n"
-        "                 characterize): peak bytes, steady-state\n"
-        "                 alloc calls/iter, arena hit rate. With\n"
-        "                 --json the memstats document follows the\n"
-        "                 figures document on its own line. Pick the\n"
-        "                 allocator with GNNMARK_ALLOC=caching|system\n"
-        "  --opstats      append the operator-dispatch report (run,\n"
-        "                 characterize): per-variant selection counts\n"
-        "                 and the calibration summary, and record\n"
-        "                 ops.* counters into --telemetry snapshots.\n"
-        "                 Off by default so gated reports never see\n"
-        "                 variant-dependent keys. Pin variants with\n"
-        "                 GNNMARK_OP_VARIANT=gemm=naive|tiled,\n"
-        "                 spmm=scalar|vector\n"
-        "  --weak         weak instead of strong scaling\n"
-        "  --overlap M    on (default): overlap the bucketed gradient\n"
-        "                 all-reduce with backward compute on a comm\n"
-        "                 stream; off: legacy fully-serialized comm\n"
-        "                 (scaling, sweep --param world)\n"
-        "  --csv          machine-readable output where supported\n"
-        "  --chrome-trace PATH  write a chrome://tracing timeline JSON\n"
-        "                 with device, worker and host-span lanes\n"
-        "                 (run, faults, trace replay; serve adds\n"
-        "                 per-request lanes with --trace-requests)\n"
-        "  --telemetry PATH  append JSONL telemetry: one record per\n"
-        "                 iteration plus a run manifest (run,\n"
-        "                 characterize), a fault report (faults), or\n"
-        "                 one record per workload curve (scaling)\n"
-        "  --json         print the report as a JSON document instead\n"
-        "                 of tables (run, characterize, scaling,\n"
-        "                 faults); progress chatter moves to stderr\n"
-        "  --out PATH     trace record output (default <workload>.gnntrace)\n"
-        "  --trace FILE   drive the sweep from a recorded trace\n"
-        "  --param P      sweep parameter: l2 (MiB), l1 (KiB), sms,\n"
-        "                 world (DDP GPU count; trace-driven sweeps\n"
-        "                 price comm against the recorded backward\n"
-        "                 windows with weak-scaling semantics)\n"
-        "  --points V,V   sweep points (default l2: 2,4,6,12 MiB;\n"
-        "                 l1: 64,128,192,256 KiB; sms: 40,60,80,108;\n"
-        "                 world: 1,2,4)\n"
-        "  --l2 MIB / --l1 KIB / --sms N   replay config overrides\n"
-        "\n"
-        "serving options (serve):\n"
-        "  --arrival P    poisson (default) | bursty | diurnal\n"
-        "  --rps R        offered load, requests per simulated second\n"
-        "                 (default: 70%% of healthy-pool capacity)\n"
-        "  --duration S   arrival horizon in simulated seconds (2.0)\n"
-        "  --slo-ms MS    per-request SLO (default: 5x the priced\n"
-        "                 max-batch cost)\n"
-        "  --replicas N   replica pool size (default 3)\n"
-        "  --batch-max K  dynamic batching cap (default 8)\n"
-        "  --faults F     none (default) | straggler | crash | mixed\n"
-        "                 scenario scaled to the duration\n"
-        "  --plan FILE    load an explicit fault plan (serve, faults);\n"
-        "                 overrides --faults\n"
-        "  --save-plan FILE  write the fault plan used (serve, faults)\n"
-        "  --hedge M / --shed M / --fallback M   robustness switches,\n"
-        "                 on (default) | off\n"
-        "  --seed N       traffic/model/generator seed (default 42)\n"
-        "  --window MS    tumbling observability windows of MS\n"
-        "                 simulated milliseconds: per-window\n"
-        "                 p50/p95/p99 latency, goodput and queue-depth\n"
-        "                 series plus SLO burn-rate alerts in the\n"
-        "                 report and telemetry (0 = off)\n"
-        "  --slo-target F  attainment target the burn-rate monitor\n"
-        "                 budgets against (default 0.99)\n"
-        "  --trace-requests [N]  request-scoped tracing: keep the\n"
-        "                 span chain (admission -> queue -> batch ->\n"
-        "                 inference -> retries/hedges) for every N-th\n"
-        "                 request (default 32) plus all shed,\n"
-        "                 timed-out and hedge-won exemplars; lanes\n"
-        "                 merge into --chrome-trace\n"
-        "\n"
-        "generation options (gen):\n"
-        "  --family F     rmat | rgg2d | hyperbolic | grid2d (required)\n"
-        "  --n N          vertex count (default 65536; rmat rounds up\n"
-        "                 to a power of two)\n"
-        "  --m M          target edge count (default: --degree * n / 2)\n"
-        "  --degree D     target average degree when --m is unset (8)\n"
-        "  --chunks C     streaming chunks; more chunks = smaller\n"
-        "                 resident window, identical edges (default 8)\n"
-        "  --lookahead L  chunks generated ahead in parallel (4)\n"
-        "  --gamma G      scale-free degree exponent (hyperbolic, 2.8)\n"
-        "  --grid-rows R / --grid-cols C   explicit grid2d shape\n"
-        "  --wrap         grid2d torus wrap-around edges\n"
-        "  --stream       feed the stream through neighbour-sampled\n"
-        "                 minibatch training (never materialized)\n"
-        "  --stats        streaming degree-distribution shape check\n"
-        "  --train-window N  with --stream: tumbling N-chunk windows\n"
-        "                 of edge throughput and training loss in the\n"
-        "                 report (0 = off)\n";
-    std::exit(2);
-}
+    using std::runtime_error::runtime_error;
+};
 
-Args
-parse(int argc, char **argv)
-{
-    Args args;
-    if (argc < 2)
-        usage();
-    args.command = argv[1];
-    int i = 2;
-    if (args.command == "run" || args.command == "faults") {
-        if (argc < 3)
-            usage();
-        args.workload = argv[2];
-        i = 3;
-    }
-    if (args.command == "trace") {
-        if (argc < 3)
-            usage();
-        args.sub = argv[2];
-        if (args.sub != "record" && args.sub != "replay" &&
-            args.sub != "info" && args.sub != "diff") {
-            std::cerr << "unknown trace subcommand: " << args.sub
-                      << "\n";
-            usage();
-        }
-        i = 3;
-    }
-    for (; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (a.rfind("--", 0) != 0) {
-            // Positional: trace files / the sweep or record workload.
-            args.files.push_back(a);
-            continue;
-        }
-        if (a == "--scale") {
-            args.scale = std::atof(next());
-        } else if (a == "--iters") {
-            args.iterations = std::atoi(next());
-            args.iterationsSet = true;
-        } else if (a == "--interval") {
-            args.interval = std::atoi(next());
-        } else if (a == "--target") {
-            args.target = std::atof(next());
-        } else if (a == "--inference") {
-            args.inference = true;
-        } else if (a == "--memstats") {
-            args.memstats = true;
-        } else if (a == "--opstats") {
-            args.opstats = true;
-        } else if (a == "--weak") {
-            args.weak = true;
-        } else if (a == "--csv") {
-            args.csv = true;
-        } else if (a == "--out") {
-            args.out = next();
-        } else if (a == "--trace") {
-            args.tracePath = next();
-        } else if (a == "--chrome-trace") {
-            args.chromePath = next();
-        } else if (a == "--telemetry") {
-            args.telemetryPath = next();
-        } else if (a == "--json") {
-            args.json = true;
-        } else if (a == "--overlap") {
-            args.overlap = next();
-            if (args.overlap != "on" && args.overlap != "off") {
-                std::cerr << "--overlap expects on or off, got: "
-                          << args.overlap << "\n";
-                usage();
-            }
-        } else if (a == "--param") {
-            args.param = next();
-        } else if (a == "--points") {
-            args.points = next();
-        } else if (a == "--l2") {
-            args.l2Mib = std::atof(next());
-        } else if (a == "--l1") {
-            args.l1Kib = std::atof(next());
-        } else if (a == "--sms") {
-            args.sms = std::atoi(next());
-        } else if (a == "--arrival") {
-            args.arrival = next();
-        } else if (a == "--rps") {
-            args.rps = std::atof(next());
-        } else if (a == "--duration") {
-            args.durationSec = std::atof(next());
-        } else if (a == "--slo-ms") {
-            args.sloMs = std::atof(next());
-        } else if (a == "--replicas") {
-            args.replicas = std::atoi(next());
-        } else if (a == "--batch-max") {
-            args.batchMax = std::atoi(next());
-        } else if (a == "--faults") {
-            args.faultsScenario = next();
-        } else if (a == "--plan") {
-            args.planPath = next();
-        } else if (a == "--save-plan") {
-            args.savePlanPath = next();
-        } else if (a == "--hedge" || a == "--shed" ||
-                   a == "--fallback") {
-            std::string &target = a == "--hedge"  ? args.hedge
-                                  : a == "--shed" ? args.shed
-                                                  : args.fallback;
-            target = next();
-            if (target != "on" && target != "off") {
-                std::cerr << a << " expects on or off, got: " << target
-                          << "\n";
-                usage();
-            }
-        } else if (a == "--seed") {
-            args.seed = static_cast<uint64_t>(
-                std::strtoull(next(), nullptr, 10));
-        } else if (a == "--window") {
-            args.windowMs = std::atof(next());
-        } else if (a == "--slo-target") {
-            args.sloTarget = std::atof(next());
-            if (args.sloTarget <= 0 || args.sloTarget >= 1) {
-                std::cerr << "--slo-target expects a fraction in "
-                             "(0, 1), got: " << args.sloTarget << "\n";
-                usage();
-            }
-        } else if (a == "--trace-requests") {
-            // Optional numeric argument: sample every N-th request
-            // (exemplars are always kept). Bare flag means every 32nd.
-            args.traceSampleEvery = 32;
-            if (i + 1 < argc) {
-                const std::string peek = argv[i + 1];
-                if (!peek.empty() &&
-                    peek.find_first_not_of("0123456789") ==
-                        std::string::npos)
-                    args.traceSampleEvery = std::atoll(argv[++i]);
-            }
-            if (args.traceSampleEvery < 1)
-                args.traceSampleEvery = 1;
-        } else if (a == "--train-window") {
-            args.trainWindow = std::atoll(next());
-        } else if (a == "--family") {
-            args.family = next();
-        } else if (a == "--n") {
-            args.genN = std::atoll(next());
-        } else if (a == "--m") {
-            args.genM = std::atoll(next());
-        } else if (a == "--degree") {
-            args.degree = std::atof(next());
-        } else if (a == "--chunks") {
-            args.chunks = std::atoi(next());
-        } else if (a == "--lookahead") {
-            args.lookahead = std::atoi(next());
-        } else if (a == "--gamma") {
-            args.gamma = std::atof(next());
-        } else if (a == "--grid-rows") {
-            args.gridRows = std::atoll(next());
-        } else if (a == "--grid-cols") {
-            args.gridCols = std::atoll(next());
-        } else if (a == "--wrap") {
-            args.gridWrap = true;
-        } else if (a == "--stream") {
-            args.stream = true;
-        } else if (a == "--stats") {
-            args.stats = true;
-        } else {
-            std::cerr << "unknown option: " << a << "\n";
-            usage();
-        }
-    }
-    return args;
-}
-
-/** Exit through usage() when `name` is not a suite workload. */
+/** Throw a UsageError when `name` is not a suite workload. */
 void
 requireWorkload(const std::string &name)
 {
     const std::vector<std::string> names =
         BenchmarkSuite::workloadNames();
-    if (std::find(names.begin(), names.end(), name) != names.end())
-        return;
-    std::cerr << "unknown workload: " << name << "\nknown workloads:";
-    for (const std::string &n : names)
-        std::cerr << " " << n;
-    std::cerr << "\n";
-    usage();
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+        throw UsageError("unknown workload: " + name +
+                         "\nknown workloads: " + join(names, " "));
+    }
 }
 
 RunOptions
@@ -474,7 +120,7 @@ runOptions(const Args &args)
 {
     RunOptions opt;
     opt.scale = args.scale;
-    opt.iterations = args.iterations;
+    opt.iterations = args.iterations > 0 ? args.iterations : 6;
     opt.inferenceOnly = args.inference;
     return opt;
 }
@@ -550,9 +196,17 @@ printWorkloadSummary(const WorkloadProfile &p)
 }
 
 int
+cmdList(const Args &)
+{
+    reports::printTableOne(std::cout);
+    return 0;
+}
+
+int
 cmdRun(const Args &args)
 {
-    requireWorkload(args.workload);
+    const std::string &workload = args.operands.front();
+    requireWorkload(workload);
     RunOptions opt = runOptions(args);
     ChromeTraceWriter chrome;
     if (!args.chromePath.empty())
@@ -565,10 +219,10 @@ cmdRun(const Args &args)
     std::ostream &progress = progressStream(args);
     progress << (args.inference ? "Profiling (inference mode) "
                                 : "Training ")
-             << args.workload << " on the simulated V100...\n\n";
+             << workload << " on the simulated V100...\n\n";
 
     const double host_begin = obs::SpanTracer::instance().nowUs();
-    const WorkloadProfile profile = runner.run(args.workload);
+    const WorkloadProfile profile = runner.run(workload);
     const double host_wall_us =
         obs::SpanTracer::instance().nowUs() - host_begin;
 
@@ -597,22 +251,10 @@ cmdRun(const Args &args)
     return 0;
 }
 
-/** Parse "2,4,6,12"-style sweep points. */
-std::vector<double>
-parsePoints(const std::string &points)
-{
-    std::vector<double> out;
-    std::stringstream ss(points);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(std::atof(item.c_str()));
-    if (out.empty())
-        usage();
-    return out;
-}
-
-/** Apply one sweep point to a config; returns a printable label. */
+/**
+ * Apply one l2, l1 or sms sweep point to a config; returns a printable
+ * label. (World sweeps go through cmdSweepWorld.)
+ */
 std::string
 applySweepPoint(GpuConfig &cfg, const std::string &param, double value)
 {
@@ -624,12 +266,18 @@ applySweepPoint(GpuConfig &cfg, const std::string &param, double value)
         cfg.l1SizeBytes = static_cast<uint64_t>(value * KiB);
         return strfmt("L1 %g KiB", value);
     }
-    if (param == "sms") {
-        cfg.numSms = static_cast<int>(value);
-        return strfmt("%d SMs", cfg.numSms);
-    }
-    std::cerr << "unknown sweep parameter: " << param << "\n";
-    usage();
+    cfg.numSms = static_cast<int>(value);
+    return strfmt("%d SMs", cfg.numSms);
+}
+
+/** The workload a live sweep re-trains (sweeps without a trace). */
+std::string
+liveSweepWorkload(const Args &args)
+{
+    if (args.operands.empty())
+        throw UsageError("sweep needs a <workload> or a trace to replay");
+    requireWorkload(args.operands.front());
+    return args.operands.front();
 }
 
 void
@@ -652,17 +300,10 @@ printSweepRow(TablePrinter &table, const std::string &label,
 int
 cmdSweepWorld(const Args &args)
 {
-    const std::vector<double> points =
-        parsePoints(args.points.empty() ? "1,2,4" : args.points);
     std::vector<int> worlds;
-    for (double v : points) {
-        const int w = static_cast<int>(v);
-        if (w < 1) {
-            std::cerr << "world sweep points must be >= 1\n";
-            usage();
-        }
-        worlds.push_back(w);
-    }
+    for (double v :
+         args.points.empty() ? std::vector<double>{1, 2, 4} : args.points)
+        worlds.push_back(static_cast<int>(v));
     DdpOptions ddp_options;
     ddp_options.overlapComm = args.overlap == "on";
 
@@ -694,10 +335,7 @@ cmdSweepWorld(const Args &args)
             static_cast<double>(replay.iterationsPerEpoch),
             replay.parameterBytes, compatible, worlds, ddp_options);
     } else {
-        if (args.files.empty())
-            usage();
-        const std::string workload = args.files.front();
-        requireWorkload(workload);
+        const std::string workload = liveSweepWorkload(args);
         std::cout << "Sweeping world with live " << workload
                   << " runs (overlap " << args.overlap << ")...\n\n";
         auto wl = BenchmarkSuite::create(workload);
@@ -706,7 +344,7 @@ cmdSweepWorld(const Args &args)
         DdpTrainer trainer(GpuConfig::v100(), InterconnectConfig{},
                            ddp_options);
         curve = trainer.scalingCurve(
-            *wl, base, worlds, args.iterationsSet ? args.iterations : 4);
+            *wl, base, worlds, args.iterations > 0 ? args.iterations : 4);
     }
 
     TablePrinter table(
@@ -729,13 +367,20 @@ cmdSweepWorld(const Args &args)
 int
 cmdSweep(const Args &args)
 {
+    // SM and GPU counts truncate to whole numbers, so a point below one
+    // would leave none; which points are counts depends on the param.
+    if ((args.param == "sms" || args.param == "world") &&
+        std::any_of(args.points.begin(), args.points.end(),
+                    [](double v) { return v < 1; }))
+        throw UsageError(args.param + " sweep points must be >= 1");
     if (args.param == "world")
         return cmdSweepWorld(args);
-    const std::string defaults = args.param == "l1" ? "64,128,192,256"
-                                 : args.param == "sms" ? "40,60,80,108"
-                                                       : "2,4,6,12";
-    const std::vector<double> points =
-        parsePoints(args.points.empty() ? defaults : args.points);
+    std::vector<double> points = args.points;
+    if (points.empty()) {
+        points = args.param == "l1"    ? std::vector<double>{64, 128, 192, 256}
+                 : args.param == "sms" ? std::vector<double>{40, 60, 80, 108}
+                                       : std::vector<double>{2, 4, 6, 12};
+    }
 
     TablePrinter table(strfmt("%s sensitivity", args.param.c_str()));
     table.setHeader({"config", "epoch (ms)", "L1 hit", "L2 hit", "IPC"});
@@ -755,10 +400,7 @@ cmdSweep(const Args &args)
         }
     } else {
         // Live: re-train the workload once per point.
-        if (args.files.empty())
-            usage();
-        const std::string workload = args.files.front();
-        requireWorkload(workload);
+        const std::string workload = liveSweepWorkload(args);
         std::cout << "Sweeping " << args.param << " with live "
                   << workload << " runs...\n\n";
         for (double value : points) {
@@ -774,67 +416,67 @@ cmdSweep(const Args &args)
 }
 
 int
-cmdTrace(const Args &args)
+cmdTraceRecord(const Args &args)
 {
-    if (args.sub == "record") {
-        if (args.files.empty())
-            usage();
-        const std::string workload = args.files.front();
-        requireWorkload(workload);
-        const std::string out =
-            args.out.empty() ? workload + ".gnntrace" : args.out;
-        std::cout << "Recording " << workload << "...\n";
-        const trace::RecordedTrace trace =
-            recordWorkloadTrace(workload, runOptions(args));
-        trace::writeTraceFile(out, trace);
-        const uint64_t encoded = trace::serializeTrace(trace).size();
-        const uint64_t naive = trace::naiveSizeBytes(trace);
-        std::cout << strfmt(
-            "%zu events -> %s (%s, %.1fx smaller than raw structs)\n",
-            trace.events.size(), out.c_str(),
-            formatBytes(static_cast<double>(encoded)).c_str(),
-            static_cast<double>(naive) / static_cast<double>(encoded));
-        return 0;
-    }
-    if (args.sub == "info") {
-        if (args.files.empty())
-            usage();
-        const std::vector<uint8_t> bytes =
-            readFileBytes(args.files.front());
-        const trace::RecordedTrace trace = trace::parseTrace(
-            bytes, "trace file '" + args.files.front() + "'");
-        trace::printTraceInfo(trace, bytes.size(), std::cout);
-        return 0;
-    }
-    if (args.sub == "replay") {
-        if (args.files.empty())
-            usage();
-        const trace::RecordedTrace trace =
-            trace::readTraceFile(args.files.front());
-        GpuConfig cfg = trace.header.config;
-        if (args.l2Mib > 0)
-            cfg.l2SizeBytes = static_cast<uint64_t>(args.l2Mib * MiB);
-        if (args.l1Kib > 0)
-            cfg.l1SizeBytes = static_cast<uint64_t>(args.l1Kib * KiB);
-        if (args.sms > 0)
-            cfg.numSms = args.sms;
-        ChromeTraceWriter chrome;
-        std::vector<KernelObserver *> observers;
-        if (!args.chromePath.empty())
-            observers.push_back(&chrome);
-        std::cout << "Replaying the recorded " << trace.header.workload
-                  << " stream...\n\n";
-        printWorkloadSummary(
-            toWorkloadProfile(trace::replayTrace(trace, cfg, observers)));
-        if (!args.chromePath.empty())
-            finishChromeTrace(chrome, args.chromePath, std::cout);
-        return 0;
-    }
-    // diff
-    if (args.files.size() < 2)
-        usage();
-    const trace::RecordedTrace a = trace::readTraceFile(args.files[0]);
-    const trace::RecordedTrace b = trace::readTraceFile(args.files[1]);
+    const std::string &workload = args.operands.front();
+    requireWorkload(workload);
+    const std::string out =
+        args.out.empty() ? workload + ".gnntrace" : args.out;
+    std::cout << "Recording " << workload << "...\n";
+    const trace::RecordedTrace trace =
+        recordWorkloadTrace(workload, runOptions(args));
+    trace::writeTraceFile(out, trace);
+    const uint64_t encoded = trace::serializeTrace(trace).size();
+    const uint64_t naive = trace::naiveSizeBytes(trace);
+    std::cout << strfmt(
+        "%zu events -> %s (%s, %.1fx smaller than raw structs)\n",
+        trace.events.size(), out.c_str(),
+        formatBytes(static_cast<double>(encoded)).c_str(),
+        static_cast<double>(naive) / static_cast<double>(encoded));
+    return 0;
+}
+
+int
+cmdTraceInfo(const Args &args)
+{
+    const std::string &path = args.operands.front();
+    const std::vector<uint8_t> bytes = readFileBytes(path);
+    trace::printTraceInfo(
+        trace::parseTrace(bytes, "trace file '" + path + "'"), bytes.size(),
+        std::cout);
+    return 0;
+}
+
+int
+cmdTraceReplay(const Args &args)
+{
+    const trace::RecordedTrace trace =
+        trace::readTraceFile(args.operands.front());
+    GpuConfig cfg = trace.header.config;
+    if (args.l2Mib > 0)
+        cfg.l2SizeBytes = static_cast<uint64_t>(args.l2Mib * MiB);
+    if (args.l1Kib > 0)
+        cfg.l1SizeBytes = static_cast<uint64_t>(args.l1Kib * KiB);
+    if (args.sms > 0)
+        cfg.numSms = args.sms;
+    ChromeTraceWriter chrome;
+    std::vector<KernelObserver *> observers;
+    if (!args.chromePath.empty())
+        observers.push_back(&chrome);
+    std::cout << "Replaying the recorded " << trace.header.workload
+              << " stream...\n\n";
+    printWorkloadSummary(
+        toWorkloadProfile(trace::replayTrace(trace, cfg, observers)));
+    if (!args.chromePath.empty())
+        finishChromeTrace(chrome, args.chromePath, std::cout);
+    return 0;
+}
+
+int
+cmdTraceDiff(const Args &args)
+{
+    const trace::RecordedTrace a = trace::readTraceFile(args.operands[0]);
+    const trace::RecordedTrace b = trace::readTraceFile(args.operands[1]);
     trace::printTraceDiff(a, b, std::cout);
     return 0;
 }
@@ -898,7 +540,7 @@ cmdScaling(const Args &args)
     ddp_options.overlapComm = args.overlap == "on";
     DdpTrainer trainer(GpuConfig::v100(), InterconnectConfig{},
                        ddp_options);
-    const int iters = args.iterationsSet ? args.iterations : 4;
+    const int iters = args.iterations > 0 ? args.iterations : 4;
     std::unique_ptr<obs::TelemetrySink> telemetry = openTelemetry(args);
     std::ostream &progress = progressStream(args);
     std::vector<std::pair<std::string, std::vector<ScalingResult>>>
@@ -963,35 +605,21 @@ FaultPlan
 serveScenarioPlan(const std::string &scenario, int replicas,
                   double duration)
 {
-    std::vector<FaultEvent> events;
-    auto straggler = [&](int replica, double at, double len,
-                         double mag) {
-        FaultEvent e;
-        e.kind = FaultKind::Straggler;
-        e.timeSec = at;
-        e.durationSec = len;
-        e.replica = replica;
-        e.magnitude = mag;
-        events.push_back(e);
-    };
     if (scenario == "none")
         return FaultPlan{};
-    if (scenario == "straggler" || scenario == "mixed")
-        straggler(replicas > 1 ? 1 : 0, 0.15 * duration,
-                  0.70 * duration, 6.0);
-    if (scenario == "crash" || scenario == "mixed") {
-        FaultEvent c;
-        c.kind = FaultKind::ReplicaCrash;
-        c.timeSec = 0.30 * duration;
-        c.replica = replicas - 1;
-        events.push_back(c);
+    // FaultEvent fields: kind, time, replica, duration, magnitude.
+    std::vector<FaultEvent> events;
+    if (scenario == "straggler" || scenario == "mixed") {
+        events.push_back({FaultKind::Straggler, 0.15 * duration,
+                          replicas > 1 ? 1 : 0, 0.70 * duration, 6.0});
     }
-    if (scenario == "mixed" && replicas > 2)
-        straggler(0, 0.55 * duration, 0.20 * duration, 3.0);
-    if (events.empty()) {
-        std::cerr << "unknown fault scenario: " << scenario
-                  << " (expected none|straggler|crash|mixed)\n";
-        usage();
+    if (scenario == "crash" || scenario == "mixed") {
+        events.push_back({FaultKind::ReplicaCrash, 0.30 * duration,
+                          replicas - 1});
+    }
+    if (scenario == "mixed" && replicas > 2) {
+        events.push_back({FaultKind::Straggler, 0.55 * duration, 0,
+                          0.20 * duration, 3.0});
     }
     return FaultPlan(std::move(events));
 }
@@ -1000,17 +628,8 @@ int
 cmdServe(const Args &args)
 {
     serve::ServeOptions opt;
-    if (!serve::parseArrivalProcess(args.arrival, opt.traffic.process)) {
-        std::cerr << "unknown arrival process: " << args.arrival
-                  << "\n";
-        usage();
-    }
-    if (args.replicas < 1 || args.batchMax < 1 ||
-        args.durationSec <= 0) {
-        std::cerr << "serve needs --replicas >= 1, --batch-max >= 1 "
-                     "and --duration > 0\n";
-        usage();
-    }
+    if (!serve::parseArrivalProcess(args.arrival, opt.traffic.process))
+        throw UsageError("unknown arrival process: " + args.arrival);
     std::ostream &progress = progressStream(args);
 
     // Price the batch cost table through the real inference path on
@@ -1040,10 +659,6 @@ cmdServe(const Args &args)
     opt.hedgeEnabled = args.hedge == "on";
     opt.shedEnabled = args.shed == "on";
     opt.fallbackEnabled = args.fallback == "on";
-    if (args.windowMs < 0) {
-        std::cerr << "--window expects a non-negative duration\n";
-        usage();
-    }
     opt.windowSec = args.windowMs * 1e-3;
     opt.sloTarget = args.sloTarget;
     opt.traceSampleEvery = args.traceSampleEvery;
@@ -1100,8 +715,9 @@ cmdServe(const Args &args)
 int
 cmdFaults(const Args &args)
 {
-    requireWorkload(args.workload);
-    auto wl = BenchmarkSuite::create(args.workload);
+    const std::string &workload = args.operands.front();
+    requireWorkload(workload);
+    auto wl = BenchmarkSuite::create(workload);
 
     WorkloadConfig base;
     base.scale = args.scale;
@@ -1120,38 +736,21 @@ cmdFaults(const Args &args)
         static_cast<double>(wl->iterationsPerEpoch());
 
     FaultRecoveryOptions opt;
-    opt.iterations = args.iterationsSet ? args.iterations : 48;
+    opt.iterations = args.iterations > 0 ? args.iterations : 48;
     opt.checkpointInterval = args.interval;
     const double horizon = iter_sec * opt.iterations;
 
-    std::vector<FaultEvent> events;
-    {
-        FaultEvent e;
-        e.kind = FaultKind::Straggler;
-        e.timeSec = 0.20 * horizon;
-        e.durationSec = 0.12 * horizon;
-        e.replica = world > 1 ? 1 : 0;
-        e.magnitude = 2.5;
-        events.push_back(e);
-    }
-    {
-        FaultEvent e;
-        e.kind = FaultKind::TransientKernel;
-        e.timeSec = 0.50 * horizon;
-        events.push_back(e);
-    }
+    // FaultEvent fields: kind, time, replica, duration, magnitude.
+    std::vector<FaultEvent> events = {
+        {FaultKind::Straggler, 0.20 * horizon, world > 1 ? 1 : 0,
+         0.12 * horizon, 2.5},
+        {FaultKind::TransientKernel, 0.50 * horizon},
+    };
     if (world > 1) {
-        FaultEvent e;
-        e.kind = FaultKind::DegradedLink;
-        e.timeSec = 0.40 * horizon;
-        e.durationSec = 0.12 * horizon;
-        e.magnitude = 0.25;
-        events.push_back(e);
-        FaultEvent c;
-        c.kind = FaultKind::ReplicaCrash;
-        c.timeSec = 0.65 * horizon;
-        c.replica = world - 1;
-        events.push_back(c);
+        events.push_back({FaultKind::DegradedLink, 0.40 * horizon, 0,
+                          0.12 * horizon, 0.25});
+        events.push_back({FaultKind::ReplicaCrash, 0.65 * horizon,
+                          world - 1});
     }
 
     // An explicit --plan overrides the built-in schedule; --save-plan
@@ -1170,7 +769,7 @@ cmdFaults(const Args &args)
     if (!args.chromePath.empty())
         trainer.setExtraObserver(&chrome);
 
-    progress << "Fault-injected training of " << args.workload
+    progress << "Fault-injected training of " << workload
              << " on " << world << " simulated GPU(s)...\n\n";
     FaultToleranceResult result =
         trainer.runWithFaults(*wl, base, world, plan, opt);
@@ -1206,6 +805,9 @@ struct OpsRow
     int64_t minBytes = 0; ///< compulsory traffic (operands + result)
     double simSec = 0;
     double hostMs = 0;    ///< human table only, never serialized
+    double intensity = 0; ///< flops per compulsory byte
+    double gflops = 0;    ///< achieved on the simulated device
+    double roofGflops = 0; ///< roofline bound at this intensity
 };
 
 /** Peak fp32 rate of `cfg` in FLOP/s (FMA counts as two). */
@@ -1216,34 +818,49 @@ peakFlops(const GpuConfig &cfg)
            cfg.warpSize * 2.0 * cfg.clockGhz * 1e9;
 }
 
-/** Name of the single dispatch counter `fn` increments. */
+/**
+ * Run `fn` on a fresh simulated device and record in `row` its sim
+ * time, host time, roofline placement (flops and minBytes must be set)
+ * and the variant behind the single dispatch counter it increments.
+ */
 template <typename Fn>
-std::pair<std::string, double>
-runDispatched(Fn &&fn)
+void
+measureOp(OpsRow &row, const GpuConfig &cfg, Fn &&fn)
 {
+    GpuDevice device(cfg);
+    Profiler profiler;
+    device.addObserver(&profiler);
     ops::Dispatch &dispatch = ops::Dispatch::instance();
-    dispatch.resetStats();
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double host_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    const ops::DispatchStats s = dispatch.stats();
-    std::string variant = "?";
+    ops::DispatchStats s;
+    {
+        ContextGuard guard(&device);
+        dispatch.resetStats();
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        row.hostMs = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+        s = dispatch.stats();
+    }
+    row.simSec = profiler.totalKernelTimeSec();
+    row.intensity = static_cast<double>(row.flops) /
+                    static_cast<double>(std::max<int64_t>(row.minBytes, 1));
+    row.gflops = row.simSec > 0 ? row.flops / row.simSec / 1e9 : 0.0;
+    row.roofGflops =
+        std::min(peakFlops(cfg), cfg.dramBandwidth * row.intensity) / 1e9;
+    row.variant = "?";
     if (s.gemmNaive > 0)
-        variant = ops::gemmVariantName(ops::GemmVariant::Naive);
+        row.variant = ops::gemmVariantName(ops::GemmVariant::Naive);
     else if (s.gemmTiled > 0)
-        variant = ops::gemmVariantName(ops::GemmVariant::Tiled);
+        row.variant = ops::gemmVariantName(ops::GemmVariant::Tiled);
     else if (s.spmmCsrScalar > 0)
-        variant = ops::spmmVariantName(ops::SpmmVariant::CsrScalar);
+        row.variant = ops::spmmVariantName(ops::SpmmVariant::CsrScalar);
     else if (s.spmmCsrVector > 0)
-        variant = ops::spmmVariantName(ops::SpmmVariant::CsrVector);
+        row.variant = ops::spmmVariantName(ops::SpmmVariant::CsrVector);
     else if (s.spmmCoo > 0)
-        variant = ops::spmmVariantName(ops::SpmmVariant::Coo);
+        row.variant = ops::spmmVariantName(ops::SpmmVariant::Coo);
     else if (s.spmmBell > 0)
-        variant = ops::spmmVariantName(ops::SpmmVariant::Bell);
-    return {variant, host_ms};
+        row.variant = ops::spmmVariantName(ops::SpmmVariant::Bell);
 }
 
 /** Deterministic dense operand with a given zero fraction. */
@@ -1277,15 +894,8 @@ opsCsr(Rng &rng, int64_t rows, int64_t cols, double density)
 
 /** Serialize the deterministic fields of one sweep row. */
 std::string
-opsRowJson(const OpsRow &row, const GpuConfig &cfg)
+opsRowJson(const OpsRow &row)
 {
-    const double intensity =
-        static_cast<double>(row.flops) /
-        static_cast<double>(std::max<int64_t>(row.minBytes, 1));
-    const double achieved =
-        row.simSec > 0 ? row.flops / row.simSec / 1e9 : 0.0;
-    const double roof =
-        std::min(peakFlops(cfg), cfg.dramBandwidth * intensity) / 1e9;
     obs::JsonWriter w;
     w.beginObject();
     w.key("type").value("ops");
@@ -1296,11 +906,12 @@ opsRowJson(const OpsRow &row, const GpuConfig &cfg)
     w.key("variant").value(row.variant);
     w.key("flops").value(row.flops);
     w.key("min_bytes").value(row.minBytes);
-    w.key("intensity").value(intensity);
+    w.key("intensity").value(row.intensity);
     w.key("sim_us").value(row.simSec * 1e6);
-    w.key("gflops").value(achieved);
-    w.key("roofline_gflops").value(roof);
-    w.key("roof_frac").value(roof > 0 ? achieved / roof : 0.0);
+    w.key("gflops").value(row.gflops);
+    w.key("roofline_gflops").value(row.roofGflops);
+    w.key("roof_frac").value(
+        row.roofGflops > 0 ? row.gflops / row.roofGflops : 0.0);
     w.endObject();
     return w.str();
 }
@@ -1338,27 +949,17 @@ cmdOps(const Args &args)
                                 gc.k));
         const Tensor a = opsDense(rng, gc.m, gc.k, gc.zeroFrac);
         const Tensor b = opsDense(rng, gc.k, gc.n, 0.0);
-        GpuDevice device(cfg);
-        Profiler profiler;
-        device.addObserver(&profiler);
         OpsRow row;
         row.op = "gemm";
         row.shape = strfmt("%lldx%lldx%lld", (long long)gc.m,
                            (long long)gc.n, (long long)gc.k);
         row.density = 1.0 - gc.zeroFrac;
         row.format = "dense";
-        {
-            ContextGuard guard(&device);
-            auto [variant, host_ms] =
-                runDispatched([&] { ops::gemm(a, b); });
-            row.variant = variant;
-            row.hostMs = host_ms;
-        }
         row.flops = 2 * gc.m * gc.n * gc.k;
         row.minBytes =
             (gc.m * gc.k + gc.k * gc.n + gc.m * gc.n) *
             static_cast<int64_t>(sizeof(float));
-        row.simSec = profiler.totalKernelTimeSec();
+        measureOp(row, cfg, [&] { ops::gemm(a, b); });
         rows.push_back(row);
     }
 
@@ -1381,28 +982,18 @@ cmdOps(const Args &args)
         for (SparseFormat format : formats) {
             const SparseMatrix a =
                 SparseMatrix::fromCsr(csr, format);
-            GpuDevice device(cfg);
-            Profiler profiler;
-            device.addObserver(&profiler);
             OpsRow row;
             row.op = "spmm";
             row.shape = strfmt("%lldx%lldx%lld", (long long)sc.rows,
                                (long long)sc.cols, (long long)sc.f);
             row.density = sc.density;
             row.format = sparseFormatName(format);
-            {
-                ContextGuard guard(&device);
-                auto [variant, host_ms] =
-                    runDispatched([&] { ops::spmm(a, b); });
-                row.variant = variant;
-                row.hostMs = host_ms;
-            }
             row.flops = 2 * a.nnz() * sc.f;
             row.minBytes =
                 a.footprintBytes() +
                 (sc.cols * sc.f + sc.rows * sc.f) *
                     static_cast<int64_t>(sizeof(float));
-            row.simSec = profiler.totalKernelTimeSec();
+            measureOp(row, cfg, [&] { ops::spmm(a, b); });
             rows.push_back(row);
         }
     }
@@ -1417,28 +1008,20 @@ cmdOps(const Args &args)
         w.endObject();
         std::cout << w.str() << "\n";
         for (const OpsRow &row : rows)
-            std::cout << opsRowJson(row, cfg) << "\n";
+            std::cout << opsRowJson(row) << "\n";
     } else {
         TablePrinter table("Operator roofline (simulated V100)");
         table.setHeader({"Op", "Shape", "Density", "Format", "Variant",
                          "AI (F/B)", "Sim us", "GFLOP/s", "Roof",
                          "%roof", "Host ms"});
         for (const OpsRow &row : rows) {
-            const double intensity =
-                static_cast<double>(row.flops) /
-                static_cast<double>(
-                    std::max<int64_t>(row.minBytes, 1));
-            const double achieved =
-                row.simSec > 0 ? row.flops / row.simSec / 1e9 : 0.0;
-            const double roof =
-                std::min(peakFlops(cfg),
-                         cfg.dramBandwidth * intensity) / 1e9;
+            const double roof = row.roofGflops;
             table.addRow(
                 {row.op, row.shape, strfmt("%.3g", row.density),
-                 row.format, row.variant, strfmt("%.2f", intensity),
+                 row.format, row.variant, strfmt("%.2f", row.intensity),
                  strfmt("%.2f", row.simSec * 1e6),
-                 strfmt("%.1f", achieved), strfmt("%.1f", roof),
-                 strfmt("%.1f%%", roof > 0 ? achieved / roof * 100 : 0),
+                 strfmt("%.1f", row.gflops), strfmt("%.1f", roof),
+                 strfmt("%.1f%%", roof > 0 ? row.gflops / roof * 100 : 0),
                  strfmt("%.3f", row.hostMs)});
         }
         table.print(std::cout);
@@ -1446,7 +1029,7 @@ cmdOps(const Args &args)
     if (std::unique_ptr<obs::TelemetrySink> telemetry =
             openTelemetry(args)) {
         for (const OpsRow &row : rows)
-            telemetry->writeRecord(opsRowJson(row, cfg));
+            telemetry->writeRecord(opsRowJson(row));
         progress << "telemetry written to " << telemetry->path()
                  << "\n";
     }
@@ -1456,15 +1039,12 @@ cmdOps(const Args &args)
 int
 cmdGen(const Args &args)
 {
-    if (args.family.empty()) {
-        std::cerr << "gen requires --family\n";
-        usage();
-    }
+    if (args.family.empty())
+        throw UsageError("gen requires --family");
     gen::GeneratorConfig cfg;
     if (!gen::parseFamily(args.family, cfg.family)) {
-        std::cerr << "unknown family: " << args.family
-                  << " (expected rmat|rgg2d|hyperbolic|grid2d)\n";
-        usage();
+        throw UsageError("unknown family: " + args.family +
+                         " (expected rmat|rgg2d|hyperbolic|grid2d)");
     }
     cfg.n = args.genN;
     cfg.m = args.genM;
@@ -1477,10 +1057,8 @@ cmdGen(const Args &args)
     cfg.gridCols = args.gridCols;
     cfg.gridWrap = args.gridWrap;
     const std::string err = gen::validateConfig(cfg);
-    if (!err.empty()) {
-        std::cerr << "invalid generator config: " << err << "\n";
-        usage();
-    }
+    if (!err.empty())
+        throw UsageError("invalid generator config: " + err);
 
     std::ostream &progress = progressStream(args);
     progress << "Generating a " << args.family << " graph ("
@@ -1500,7 +1078,7 @@ cmdGen(const Args &args)
     if (args.stream) {
         gen::StreamTrainOptions topt;
         topt.seed = cfg.seed;
-        topt.windowChunks = args.trainWindow > 0 ? args.trainWindow : 0;
+        topt.windowChunks = args.trainWindow;
         trained = gen::streamTrain(stream, topt, degrees.get());
     } else {
         gen::EdgeBlock block;
@@ -1584,53 +1162,379 @@ cmdGen(const Args &args)
     return 0;
 }
 
+/** One bit per verb; each flag row names the verbs that read it. */
+enum : unsigned {
+    kList = 1 << 0, kRun = 1 << 1, kCharacterize = 1 << 2, kScaling = 1 << 3,
+    kTtt = 1 << 4, kFaults = 1 << 5, kServe = 1 << 6, kRecord = 1 << 7,
+    kReplay = 1 << 8, kInfo = 1 << 9, kDiff = 1 << 10, kSweep = 1 << 11,
+    kOps = 1 << 12, kGen = 1 << 13,
+    // Groups: the RunOptions builders; the JSON and telemetry writers.
+    kRunOptions = kRun | kCharacterize | kRecord | kSweep,
+    kReports = kRun | kCharacterize | kScaling | kFaults | kServe | kOps | kGen,
+};
+
+struct Verb
+{
+    const char *name;     ///< "trace <sub>" for the trace subcommands
+    unsigned bit;
+    const char *operands; ///< "<x>" is required, "[<x>]" optional
+    int (*run)(const Args &);
+    const char *help;
+};
+
+const Verb kVerbs[] = {
+    {"list", kList, "", cmdList, "print the suite inventory"},
+    {"run", kRun, "<workload>", cmdRun, "train + profile one workload"},
+    {"characterize", kCharacterize, "", cmdCharacterize, "profile the suite"},
+    {"scaling", kScaling, "", cmdScaling, "DDP scaling over 1/2/4 GPUs"},
+    {"ttt", kTtt, "", cmdTimeToTrain, "MLPerf-style time-to-train"},
+    {"faults", kFaults, "<workload>", cmdFaults,
+     "fault-injected DDP run with checkpoint/resume + elastic recovery"},
+    {"serve", kServe, "", cmdServe,
+     "SLO-aware inference serving: admission, batching, hedging"},
+    {"trace record", kRecord, "<workload>", cmdTraceRecord,
+     "capture a run into a trace file"},
+    {"trace replay", kReplay, "<file>", cmdTraceReplay,
+     "re-characterize from a trace"},
+    {"trace info", kInfo, "<file>", cmdTraceInfo, "per-op-class statistics"},
+    {"trace diff", kDiff, "<a> <b>", cmdTraceDiff, "compare two traces"},
+    {"sweep", kSweep, "[<workload>]", cmdSweep,
+     "L2/L1/SM/GPU-count sensitivity, live or from a recorded trace"},
+    {"ops", kOps, "", cmdOps, "operator roofline sweep of GEMM/SpMM variants"},
+    {"gen", kGen, "", cmdGen,
+     "chunked graph generation, optionally streamed through training"},
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** The values a numeric flag accepts: lo..hi, either end open. */
+struct Range
+{
+    double lo = -kInf, hi = kInf;
+    bool loOpen = false, hiOpen = false;
+};
+
+constexpr Range kNonNeg{0, kInf};
+constexpr Range kPositive{0, kInf, true};
+constexpr Range kFraction{0, 1, true, true};
+
+/**
+ * The Args member a flag sets. Its type is the flag's kind: a switch,
+ * an integer, a real, a comma-separated list of reals, or text — a
+ * choice when the placeholder lists the words ("on|off").
+ */
+using Member =
+    std::variant<bool Args::*, int Args::*, int64_t Args::*,
+                 uint64_t Args::*, double Args::*, std::string Args::*,
+                 std::vector<double> Args::*>;
+
+struct Flag
+{
+    const char *name;
+    unsigned verbs;    ///< the verbs that read it
+    Member member;
+    const char *value; ///< placeholder; nullptr for a switch
+    const char *help;  ///< "\n" continues it on the next line
+    Range range = {};  ///< numbers (each, for a list) must lie inside
+    /** An optional count: its value when no number follows the flag. */
+    const char *bare = nullptr;
+};
+
+const Flag kFlags[] = {
+    {"--scale", kRunOptions | kScaling | kTtt | kFaults | kServe,
+     &Args::scale, "S", "dataset scale factor (default 1.0)", kPositive},
+    {"--iters", kRunOptions | kScaling | kFaults, &Args::iterations, "N",
+     "measured iterations (default 6; scaling and world\n"
+     "sweeps 4; faults 48)", kPositive},
+    {"--inference", kRunOptions, &Args::inference, nullptr, "forward only"},
+    {"--memstats", kRun | kCharacterize, &Args::memstats, nullptr,
+     "append the host-allocator report (GNNMARK_ALLOC=caching\n"
+     "|system picks the allocator)"},
+    {"--opstats", kRun | kCharacterize, &Args::opstats, nullptr,
+     "append the operator-dispatch report and record ops.*\n"
+     "counters into telemetry (GNNMARK_OP_VARIANT pins them)"},
+    {"--chrome-trace", kRun | kFaults | kServe | kReplay, &Args::chromePath,
+     "PATH", "write a chrome://tracing timeline"},
+    {"--telemetry", kReports, &Args::telemetryPath, "PATH",
+     "append JSONL telemetry records"},
+    {"--json", kReports, &Args::json, nullptr,
+     "print the report as JSON; progress moves to stderr"},
+    {"--weak", kScaling, &Args::weak, nullptr, "weak, not strong scaling"},
+    {"--overlap", kScaling | kSweep, &Args::overlap, "on|off",
+     "overlap gradient all-reduce with backward (default on)"},
+    {"--target", kTtt, &Args::target, "F",
+     "time-to-train loss fraction (default 0.85)", kFraction},
+    {"--interval", kFaults, &Args::interval, "K",
+     "iterations between checkpoints (default 12; 0 = none)", kNonNeg},
+    {"--plan", kFaults | kServe, &Args::planPath, "FILE",
+     "load an explicit fault plan (overrides the scenario)"},
+    {"--save-plan", kFaults | kServe, &Args::savePlanPath, "FILE",
+     "write the fault plan used"},
+    {"--seed", kServe | kOps | kGen, &Args::seed, "N",
+     "traffic/model/generator seed (default 42)", kNonNeg},
+    {"--out", kRecord, &Args::out, "PATH", "default <workload>.gnntrace"},
+    {"--l2", kReplay, &Args::l2Mib, "MIB", "L2 size (0 = as recorded)",
+     kNonNeg},
+    {"--l1", kReplay, &Args::l1Kib, "KIB", "L1 size (0 = as recorded)",
+     kNonNeg},
+    {"--sms", kReplay, &Args::sms, "N", "SM count (0 = as recorded)",
+     kNonNeg},
+    {"--trace", kSweep, &Args::tracePath, "FILE", "sweep a recorded trace"},
+    {"--param", kSweep, &Args::param, "l2|l1|sms|world",
+     "L2 MiB (default), L1 KiB, SMs or DDP GPUs; trace-driven\n"
+     "world sweeps price comm as weak scaling"},
+    {"--points", kSweep, &Args::points, "V,V,...",
+     "sweep points (default l2 2,4,6,12; l1 64,128,192,256;\n"
+     "sms 40,60,80,108; world 1,2,4)", kPositive},
+
+    {"--arrival", kServe, &Args::arrival, "P",
+     "poisson (default), bursty or diurnal arrivals"},
+    {"--rps", kServe, &Args::rps, "R",
+     "offered load per simulated second (0 = 70% of capacity)", kNonNeg},
+    {"--duration", kServe, &Args::durationSec, "S",
+     "arrival horizon in simulated seconds (default 2.0)", kPositive},
+    {"--slo-ms", kServe, &Args::sloMs, "MS",
+     "per-request SLO (0 = 5x the max-batch cost)", kNonNeg},
+    {"--replicas", kServe, &Args::replicas, "N", "replicas (default 3)",
+     kPositive},
+    {"--batch-max", kServe, &Args::batchMax, "K",
+     "dynamic batching cap (default 8)", kPositive},
+    {"--faults", kServe, &Args::faultsScenario, "none|straggler|crash|mixed",
+     "fault scenario scaled to the duration (default none)"},
+    {"--hedge", kServe, &Args::hedge, "on|off",
+     "hedged duplicates of slow batches (default on)"},
+    {"--shed", kServe, &Args::shed, "on|off",
+     "shed requests past their deadline (default on)"},
+    {"--fallback", kServe, &Args::fallback, "on|off",
+     "degraded answers from the embedding cache (default on)"},
+    {"--window", kServe, &Args::windowMs, "MS",
+     "windows of simulated ms: latency percentiles, goodput,\n"
+     "queue depth, SLO burn-rate alerts (0 = off)", kNonNeg},
+    {"--slo-target", kServe, &Args::sloTarget, "F",
+     "burn-rate monitor's attainment target (default 0.99)", kFraction},
+    {"--trace-requests", kServe, &Args::traceSampleEvery, "[N]",
+     "trace every N-th request (default 32) plus the shed,\n"
+     "timed-out and hedge-won ones", kPositive, "32"},
+
+    {"--family", kGen, &Args::family, "F",
+     "rmat, rgg2d, hyperbolic or grid2d (required)"},
+    {"--n", kGen, &Args::genN, "N",
+     "vertex count (default 65536; rmat rounds up to 2^k)", {1, kInf, true}},
+    {"--m", kGen, &Args::genM, "M",
+     "target edge count (0 = degree * n / 2)", kNonNeg},
+    {"--degree", kGen, &Args::degree, "D",
+     "target average degree when the edge count is 0 (8)", kPositive},
+    {"--chunks", kGen, &Args::chunks, "C",
+     "streaming chunks, same edges either way (default 8)", kPositive},
+    {"--lookahead", kGen, &Args::lookahead, "L",
+     "chunks generated ahead in parallel (default 4)", kPositive},
+    {"--gamma", kGen, &Args::gamma, "G",
+     "hyperbolic degree exponent (default 2.8)", {2, 10, true}},
+    {"--grid-rows", kGen, &Args::gridRows, "R", "grid2d rows (0 = from n)",
+     kNonNeg},
+    {"--grid-cols", kGen, &Args::gridCols, "C", "grid2d columns (0 = from n)",
+     kNonNeg},
+    {"--wrap", kGen, &Args::gridWrap, nullptr, "grid2d torus wrap-around"},
+    {"--stream", kGen, &Args::stream, nullptr,
+     "train on the stream with neighbour-sampled minibatches"},
+    {"--stats", kGen, &Args::stats, nullptr, "degree-distribution shape"},
+    {"--train-window", kGen, &Args::trainWindow, "N",
+     "N-chunk windows of streamed-training throughput and\n"
+     "loss (0 = off)", kNonNeg},
+};
+
+/** `text` as a T inside the flag's range, else a UsageError. */
+template <typename T>
+T
+flagNumber(const Flag &flag, const std::string &text)
+{
+    constexpr bool kReal = std::is_floating_point_v<T>;
+    std::conditional_t<kReal, double, int64_t> value = 0;
+    const Range &r = flag.range;
+    bool ok = parseNumber(text, value) &&
+              (r.loOpen ? value > r.lo : value >= r.lo) &&
+              (r.hiOpen ? value < r.hi : value <= r.hi);
+    if constexpr (!kReal)
+        ok = ok && std::in_range<T>(value);
+    if (!ok) {
+        const std::string range =
+            r.hi == kInf ? strfmt("%s %g", r.loOpen ? ">" : ">=", r.lo)
+                         : strfmt("in %c%g, %g%c", r.loOpen ? '(' : '[',
+                                  r.lo, r.hi, r.hiOpen ? ')' : ']');
+        throw UsageError(strfmt("%s expects %s %s, got '%s'", flag.name,
+                                kReal ? "a number" : "an integer",
+                                range.c_str(), text.c_str()));
+    }
+    return static_cast<T>(value);
+}
+
+/** Store a flag's value text into its Args member. */
+void
+assign(Args &args, const Flag &flag, const std::string &text)
+{
+    std::visit(
+        [&](auto member) {
+            auto &field = args.*member;
+            using T = std::decay_t<decltype(field)>;
+            if constexpr (std::is_same_v<T, bool>) {
+                field = true;
+            } else if constexpr (std::is_same_v<T, std::string>) {
+                const std::vector<std::string> words =
+                    split(flag.value, '|');
+                if (words.size() > 1 &&
+                    std::find(words.begin(), words.end(), text) ==
+                        words.end()) {
+                    throw UsageError(strfmt("%s expects %s, got '%s'",
+                                            flag.name, flag.value,
+                                            text.c_str()));
+                }
+                field = text;
+            } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+                field.clear();
+                for (const std::string &item : split(text, ','))
+                    if (!item.empty())
+                        field.push_back(flagNumber<double>(flag, item));
+                if (field.empty())
+                    throw UsageError(std::string(flag.name) +
+                                     " needs at least one value");
+            } else {
+                field = flagNumber<T>(flag, text);
+            }
+        },
+        flag.member);
+}
+
+/** Fill `args` from argv, or throw a UsageError. */
+void
+parse(int argc, char **argv, Args &args)
+{
+    if (argc < 2)
+        throw UsageError("missing command");
+    std::string name = argv[1];
+    int i = 2;
+    if (name == "trace" && argc > 2)
+        name += std::string(" ") + argv[i++];
+    for (const Verb &v : kVerbs)
+        if (name == v.name)
+            args.verb = &v;
+    if (args.verb == nullptr)
+        throw UsageError("unknown command: " + name);
+    const Verb &verb = *args.verb;
+
+    for (; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a.rfind("--", 0) != 0) {
+            args.operands.push_back(a);
+            continue;
+        }
+        const Flag *flag =
+            std::find_if(std::begin(kFlags), std::end(kFlags),
+                         [&](const Flag &f) { return a == f.name; });
+        if (flag == std::end(kFlags))
+            throw UsageError("unknown option: " + a);
+        if ((flag->verbs & verb.bit) == 0)
+            throw UsageError(a + " is not an option of " + name);
+        std::string text;
+        if (flag->bare != nullptr) {
+            // An optional count takes the next token only if it is one.
+            const std::string next = i + 1 < argc ? argv[i + 1] : "";
+            const bool given =
+                !next.empty() &&
+                next.find_first_not_of("0123456789") == std::string::npos;
+            text = given ? argv[++i] : flag->bare;
+        } else if (flag->value != nullptr) {
+            if (i + 1 >= argc)
+                throw UsageError(a + " needs a value");
+            text = argv[++i];
+        }
+        assign(args, *flag, text);
+    }
+
+    // Each "<" in the operand synopsis is one operand, "[" an optional.
+    const std::string ops = verb.operands;
+    const size_t most = std::count(ops.begin(), ops.end(), '<');
+    const size_t least = most - std::count(ops.begin(), ops.end(), '[');
+    if (args.operands.size() < least)
+        throw UsageError(name + " needs " + ops);
+    if (args.operands.size() > most)
+        throw UsageError("unexpected argument: " + args.operands[most]);
+}
+
+/** A flag as the usage shows it: its name, then any placeholder. */
+std::string
+synopsis(const Flag &f)
+{
+    return f.value == nullptr ? f.name : f.name + std::string(" ") + f.value;
+}
+
+/** Usage of `only`, or of every verb when null, on stderr. */
+void
+printUsage(const Verb *only)
+{
+    constexpr size_t kWidth = 78;
+    const std::string help_indent(24, ' ');
+    unsigned verbs = 0;
+    std::cerr << "usage:\n";
+    for (const Verb &v : kVerbs) {
+        if (only != nullptr && &v != only)
+            continue;
+        verbs |= v.bit;
+        std::string line = std::string("  gnnmark ") + v.name;
+        const std::string indent(line.size(), ' ');
+        if (*v.operands != '\0')
+            line += std::string(" ") + v.operands;
+        for (const Flag &f : kFlags) {
+            if ((f.verbs & v.bit) == 0)
+                continue;
+            const std::string word = " [" + synopsis(f) + "]";
+            if (line.size() + word.size() > kWidth) {
+                std::cerr << line << "\n";
+                line = indent;
+            }
+            line += word;
+        }
+        std::cerr << line << "\n      " << v.help << "\n";
+    }
+    const char *heading = "\noptions:\n";
+    for (const Flag &f : kFlags) {
+        if ((f.verbs & verbs) == 0)
+            continue;
+        const std::string label = "  " + synopsis(f);
+        std::cerr << heading
+                  << (label.size() < help_indent.size()
+                          ? padRight(label, help_indent.size())
+                          : label + "\n" + help_indent)
+                  << join(split(f.help, '\n'), "\n" + help_indent) << "\n";
+        heading = "";
+    }
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Args args = parse(argc, argv);
-    // Any tracing/telemetry export arms host-span recording for the
-    // whole process; without either flag GNN_SPAN stays a single
-    // relaxed load and the run is bit-identical to an uninstrumented
-    // build.
-    if (!args.chromePath.empty() || !args.telemetryPath.empty())
-        obs::SpanTracer::instance().setEnabled(true);
-    // Emit the rate-limiter's "suppressed N duplicates" summary on
-    // every exit path that ran a command.
-    const auto finish = [](int rc) {
+    Args args;
+    try {
+        parse(argc, argv, args);
+        // Any tracing/telemetry export arms host-span recording for
+        // the whole process; without either flag GNN_SPAN stays a
+        // single relaxed load and the run is bit-identical to an
+        // uninstrumented build.
+        if (!args.chromePath.empty() || !args.telemetryPath.empty())
+            obs::SpanTracer::instance().setEnabled(true);
+        const int rc = args.verb->run(args);
+        // Emit the rate-limiter's "suppressed N duplicates" summary on
+        // every exit path that ran a command.
         flushSuppressedWarnings();
         return rc;
-    };
-    try {
-        if (args.command == "list") {
-            reports::printTableOne(std::cout);
-            return finish(0);
-        }
-        if (args.command == "run")
-            return finish(cmdRun(args));
-        if (args.command == "characterize")
-            return finish(cmdCharacterize(args));
-        if (args.command == "scaling")
-            return finish(cmdScaling(args));
-        if (args.command == "ttt")
-            return finish(cmdTimeToTrain(args));
-        if (args.command == "faults")
-            return finish(cmdFaults(args));
-        if (args.command == "serve")
-            return finish(cmdServe(args));
-        if (args.command == "trace")
-            return finish(cmdTrace(args));
-        if (args.command == "sweep")
-            return finish(cmdSweep(args));
-        if (args.command == "ops")
-            return finish(cmdOps(args));
-        if (args.command == "gen")
-            return finish(cmdGen(args));
+    } catch (const UsageError &e) {
+        std::cerr << "gnnmark: " << e.what() << "\n\n";
+        printUsage(args.verb);
+        return 2;
     } catch (const IoError &e) {
         std::cerr << "gnnmark: fatal: " << e.what() << "\n";
-        return finish(1);
+        flushSuppressedWarnings();
+        return 1;
     }
-    std::cerr << "unknown command: " << args.command << "\n";
-    usage();
 }
