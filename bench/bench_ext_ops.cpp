@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "base/cpu_features.hh"
 #include "base/io.hh"
 #include "base/rng.hh"
 #include "base/string_utils.hh"
@@ -137,7 +138,7 @@ recordJson(const BenchRow &row)
 int
 main(int argc, char **argv)
 {
-    const bool simd = ops::kern::simdActive();
+    const bool simd = hostHasAvx2();
     std::cout << "Host-kernel variant timing (min of " << kRepeats
               << " runs, " << (simd ? "AVX2 active" : "scalar only")
               << ")...\n\n";

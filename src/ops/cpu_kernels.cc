@@ -2,38 +2,21 @@
 
 #include <algorithm>
 
+#include "base/cpu_features.hh"
 #include "base/thread_pool.hh"
 #include "obs/span.hh"
 
-// AVX2 paths are compiled via per-function target attributes rather
-// than a TU-wide -mavx2: a TU-wide flag would let the compiler emit
-// AVX2 in shared inline/template instantiations (std::function,
-// vector) whose COMDAT copy the linker may pick for the whole
-// program, crashing pre-AVX2 hosts. Per-function targeting confines
-// AVX2 to exactly the kernels guarded by simdActive(). No FMA: the
-// intrinsics below use separate mul/add so results stay bitwise equal
-// to the scalar baselines (and to the committed report baselines).
-#if defined(__x86_64__) && defined(__GNUC__)
-#define GNNMARK_AVX2 1
+// AVX2 bodies use per-function target attributes and run only when
+// hostHasAvx2() (see base/cpu_features.hh). No FMA: the intrinsics
+// below use separate mul/add so results stay bitwise equal to the
+// scalar baselines (and to the committed report baselines).
+#if GNNMARK_AVX2
 #include <immintrin.h>
-#else
-#define GNNMARK_AVX2 0
 #endif
 
 namespace gnnmark {
 namespace ops {
 namespace kern {
-
-bool
-simdActive()
-{
-#if GNNMARK_AVX2
-    static const bool ok = __builtin_cpu_supports("avx2");
-    return ok;
-#else
-    return false;
-#endif
-}
 
 namespace {
 
@@ -223,7 +206,7 @@ void
 gemmTiled(const float *a, const float *b, float *c, int64_t m,
           int64_t n, int64_t k)
 {
-    const bool simd = simdActive();
+    const bool simd = hostHasAvx2();
     parallel_for(0, m, 16, [&](int64_t i0, int64_t i1) {
         GNN_SPAN("op.gemm.chunk");
         int64_t i = i0;
@@ -264,7 +247,7 @@ spmmCsrScalar(const CsrMatrix &a, const float *b, float *c, int64_t f)
 void
 spmmCsrVector(const CsrMatrix &a, const float *b, float *c, int64_t f)
 {
-    const bool simd = simdActive();
+    const bool simd = hostHasAvx2();
     const int32_t *ci = a.colIdx.data();
     const float *vals = a.vals.data();
     parallel_for(0, a.rows, 64, [&](int64_t r0, int64_t r1) {

@@ -28,11 +28,6 @@ namespace gnnmark {
 namespace ops {
 namespace kern {
 
-/** True when the AVX2 code paths are compiled in and the CPU has
- *  AVX2; the tiled/vector kernels silently fall back to equivalent
- *  scalar register-blocked loops otherwise. */
-bool simdActive();
-
 /**
  * @{ C = A * B for row-major A [m,k], B [k,n] into zero-initialised C
  * [m,n]. `naive` is the historical loop (memory-accumulating, with a

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "base/cpu_features.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "obs/metrics.hh"
@@ -341,7 +342,7 @@ Dispatch::stats() const
         impl_->spmmCsrVector.load(std::memory_order_relaxed);
     s.spmmCoo = impl_->spmmCoo.load(std::memory_order_relaxed);
     s.spmmBell = impl_->spmmBell.load(std::memory_order_relaxed);
-    s.simd = kern::simdActive();
+    s.simd = hostHasAvx2();
     {
         std::lock_guard<std::mutex> lock(impl_->mu);
         s.calibrated = impl_->calibrated;
