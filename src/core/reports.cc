@@ -1,16 +1,577 @@
 #include "core/reports.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/string_utils.hh"
 #include "base/table.hh"
 #include "base/units.hh"
+#include "core/report_model.hh"
+#include "core/reports_json.hh"
 #include "core/suite.hh"
 #include "ops/dispatch.hh"
+#include "sim/fault_injector.hh"
 
 namespace gnnmark {
 namespace reports {
+
+namespace {
+
+double
+number(const Value &v)
+{
+    return std::visit(
+        [](const auto &x) -> double {
+            if constexpr (std::is_arithmetic_v<std::decay_t<decltype(x)>>)
+                return static_cast<double>(x);
+            return 0.0;
+        },
+        v);
+}
+
+} // namespace
+
+std::string
+formatCell(const Cell &cell, const Value &v)
+{
+    switch (cell.kind) {
+      case Cell::Fixed:
+        return fixed(number(v) * cell.scale, cell.digits);
+      case Cell::Percent:
+        return percent(number(v), cell.digits);
+      case Cell::General:
+        return strfmt("%.*g", cell.digits, number(v));
+      case Cell::Bytes:
+        return formatBytes(number(v));
+      case Cell::Hex:
+        return strfmt("%016llx",
+                      static_cast<unsigned long long>(std::get<uint64_t>(v)));
+      case Cell::Flag:
+        return std::get<bool>(v) ? cell.yes : cell.no;
+      case Cell::Name:
+        return cell.name(std::get<int64_t>(v));
+      case Cell::Plain:
+        break;
+    }
+    if (const auto *text = std::get_if<std::string>(&v))
+        return *text;
+    if (const auto *u = std::get_if<uint64_t>(&v))
+        return strfmt("%llu", static_cast<unsigned long long>(*u));
+    return strfmt("%lld", static_cast<long long>(std::get<int64_t>(v)));
+}
+
+void
+writeValue(obs::JsonWriter &w, const std::string &key, const Cell &cell,
+           const Value &v)
+{
+    if (cell.kind == Cell::Hex) {
+        // 64-bit values as 32-bit halves: JSON numbers are doubles and
+        // lose bits past 2^53.
+        const uint64_t u = std::get<uint64_t>(v);
+        w.key(key + "_hi").value(static_cast<int64_t>(u >> 32));
+        w.key(key + "_lo").value(static_cast<int64_t>(u & 0xffffffffULL));
+        return;
+    }
+    w.key(key);
+    std::visit(
+        [&w](const auto &x) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(x)>, uint64_t>)
+                w.value(static_cast<int64_t>(x));
+            else
+                w.value(x);
+        },
+        v);
+}
+
+namespace {
+
+// Text formats shared by many fields; `{}` is Cell::Plain.
+const Cell kFix1{Cell::Fixed, 1};
+const Cell kFix2{Cell::Fixed, 2};
+const Cell kPct{Cell::Fixed, 1, 100.0}; ///< a fraction as 0-100
+const Cell kPercent{Cell::Percent, 1};  ///< the same with a '%'
+const Cell kMs{Cell::Fixed, 2, 1e3};    ///< seconds as ms
+const Cell kMs0{Cell::Fixed, 0, 1e3};
+const Cell kMiB{Cell::Fixed, 2, 1.0 / (1024.0 * 1024.0)};
+const Cell kLoss{Cell::General, 4};
+const Cell kOnOff{.kind = Cell::Flag, .yes = "on", .no = "off"};
+
+/** A whole JSON document: one object that `body` fills in. */
+template <typename Body>
+std::string
+document(Body &&body)
+{
+    obs::JsonWriter w;
+    w.beginObject();
+    body(w);
+    w.endObject();
+    return w.str();
+}
+
+/** `fields` of `r` as the object member `key`. */
+template <typename R>
+void
+writeObject(obs::JsonWriter &w, const std::string &key,
+            const Fields<R> &fields, const R &r)
+{
+    w.key(key).beginObject();
+    writeMembers(w, fields, r);
+    w.endObject();
+}
+
+/** One object of `fields` per record, as the array member `key`. */
+template <typename R>
+void
+writeArray(obs::JsonWriter &w, const std::string &key,
+           const Fields<R> &fields, const std::vector<R> &records)
+{
+    w.key(key).beginArray();
+    for (const R &r : records) {
+        w.beginObject();
+        writeMembers(w, fields, r);
+        w.endObject();
+    }
+    w.endArray();
+}
+
+// ---------------------------------------------------------------------
+// Figs. 2-7: one column per field, one row per workload.
+
+using Pr = Profiler;
+
+/** Profile totals ahead of the figures (JSON and the run summary). */
+const Fields<Pr> kProfilerTotals = {
+    {"total_kernel_time_sec", "", {Cell::Fixed, 3, 1e3},
+     &Pr::totalKernelTimeSec},
+    {"total_launches", "", {}, &Pr::totalLaunches},
+};
+const Fields<WorkloadProfile> kRunTotals = {
+    {"wall_sim_time_sec", "", {}, &WorkloadProfile::wallTimeSec},
+    {"epoch_time_sec", "", {Cell::Fixed, 3, 1e3},
+     &WorkloadProfile::epochTimeSec},
+    {"iterations_per_epoch", "", {}, &WorkloadProfile::iterationsPerEpoch},
+    {"parameter_bytes", "", {}, &WorkloadProfile::parameterBytes},
+};
+
+/** One paper figure: its JSON member, table title and fields. */
+struct Figure
+{
+    std::string key;
+    std::string title;
+    Fields<Pr> fields;
+};
+
+Fields<Pr>
+opTimeFields()
+{
+    Fields<Pr> fields;
+    for (OpClass c : allOpClasses()) {
+        const auto i = static_cast<size_t>(c);
+        fields.push_back({opClassName(c), opClassName(c), kPct,
+                          [i](const Pr &p) { return p.opTimeBreakdown()[i]; }});
+    }
+    return fields;
+}
+
+Fields<Pr>
+stallFields()
+{
+    Fields<Pr> fields;
+    for (size_t r = 0; r < kNumStallReasons; ++r) {
+        const std::string &name = stallReasonName(static_cast<StallReason>(r));
+        fields.push_back({name, name, kPct,
+                          [r](const Pr &p) { return p.stallBreakdown()[r]; }});
+    }
+    return fields;
+}
+
+const std::vector<Figure> kFigures = {
+    {"fig2_op_time_breakdown",
+     "Fig. 2: execution-time breakdown by operation (percent of kernel "
+     "time)",
+     opTimeFields()},
+    {"fig3_instruction_mix",
+     "Fig. 3: dynamic instruction mix (percent of instructions)",
+     {{"int32", "int32", kPct,
+       [](const Pr &p) { return p.instructionMix().int32Frac; }},
+      {"fp32", "fp32", kPct,
+       [](const Pr &p) { return p.instructionMix().fp32Frac; }},
+      {"other", "other", kPct,
+       [](const Pr &p) { return p.instructionMix().otherFrac; }}}},
+    {"fig4_throughput", "Fig. 4: arithmetic throughput per workload",
+     {{"gflops", "GFLOPS", kFix1, &Pr::gflops},
+      {"giops", "GIOPS", kFix1, &Pr::giops},
+      {"avg_ipc", "IPC", kFix2, &Pr::avgIpc}}},
+    {"fig5_stall_breakdown",
+     "Fig. 5: warp issue-stall breakdown (percent of stall cycles)",
+     stallFields()},
+    {"fig6_cache", "Fig. 6: cache hit rates and load divergence (percent)",
+     {{"l1_hit_rate", "L1 hit", kPct, &Pr::l1HitRate},
+      {"l2_hit_rate", "L2 hit", kPct, &Pr::l2HitRate},
+      {"divergent_load_fraction", "Divergent loads", kPct,
+       &Pr::divergentLoadFraction}}},
+    {"fig7_sparsity", "Fig. 7: average sparsity of CPU-to-GPU transfers",
+     {{"avg_transfer_sparsity", "Sparsity", kPct, &Pr::avgTransferSparsity},
+      {"total_transfer_bytes", "Transferred", {Cell::Bytes},
+       &Pr::totalTransferBytes},
+      {"total_transfer_time_sec", "", {}, &Pr::totalTransferTimeSec}}},
+};
+
+/** Per-column means, summed as value / count in workload order. */
+std::vector<double>
+columnMeans(const Figure &fig, const std::vector<WorkloadProfile> &profiles)
+{
+    std::vector<double> mean;
+    for (const Field<Pr> &f : fig.fields) {
+        if (f.header.empty())
+            continue;
+        double m = 0;
+        for (const WorkloadProfile &p : profiles)
+            m += number(f.get(p.profiler)) / profiles.size();
+        mean.push_back(m);
+    }
+    return mean;
+}
+
+/** The figure table: a row per workload, then the MEAN row. */
+void
+printFigure(std::ostream &os, const Figure &fig,
+            const std::vector<WorkloadProfile> &profiles,
+            const std::vector<double> &mean, bool mean_last_column = true)
+{
+    TablePrinter table(fig.title);
+    table.setHeader(header(fig.fields, {"Workload"}));
+    for (const WorkloadProfile &p : profiles)
+        table.addRow(row(fig.fields, p.profiler, {p.name}));
+    std::vector<std::string> avg = {"MEAN"};
+    for (const Field<Pr> &f : fig.fields) {
+        if (!f.header.empty())
+            avg.push_back(formatCell(f.cell, mean[avg.size() - 1]));
+    }
+    if (!mean_last_column)
+        avg.back().clear();
+    table.addRow(avg);
+    table.print(os);
+}
+
+// ---------------------------------------------------------------------
+// Fig. 9, fault tolerance, allocator.
+
+using SC = ScalingResult;
+
+const Fields<SC> kScaling = {
+    {"world_size", "GPUs", {}, &SC::worldSize},
+    {"epoch_time_sec", "Epoch (ms)", kMs, &SC::epochTimeSec},
+    {"compute_time_sec", "Compute (ms)", kMs, &SC::computeTimeSec},
+    {"comm_time_sec", "Comm (ms)", kMs, &SC::commTimeSec},
+    {"comm_exposed_sec", "Exposed (ms)", kMs, &SC::commExposedSec},
+    {"overlap_frac", "Overlap %", kPct, &SC::overlapFrac},
+    {"speedup", "Speedup vs 1 GPU", kFix2, &SC::speedup},
+};
+
+using FT = FaultToleranceResult;
+
+const Fields<FT> kFault = {
+    {"workload", "", {}, &FT::workload},
+    {"world_start", "", {}, &FT::worldStart},
+    {"world_end", "", {}, &FT::worldEnd},
+    {"target_iterations", "", {}, &FT::targetIterations},
+    {"executed_iterations", "", {}, &FT::executedIterations},
+    {"replayed_iterations", "", {}, &FT::replayedIterations},
+    {"ideal_time_sec", "", kMs, &FT::idealTimeSec},
+    {"total_time_sec", "", kMs, &FT::totalTimeSec},
+    {"checkpoint_time_sec", "", kMs, &FT::checkpointTimeSec},
+    {"recovery_time_sec", "", kMs, &FT::recoveryTimeSec},
+    {"goodput", "", kPercent, &FT::goodput},
+};
+
+using FR = FaultRecord;
+
+const Fields<FR> kFaultEvents = {
+    {"kind", "Fault",
+     {.kind = Cell::Name,
+      .name = [](int64_t k) {
+          return faultKindName(static_cast<FaultKind>(k));
+      }},
+     [](const FR &e) { return static_cast<int64_t>(e.kind); }},
+    {"sim_time_sec", "At (ms)", kMs, &FR::simTimeSec},
+    {"replica", "Replica", {}, &FR::replica},
+    {"detection_sec", "Detect (ms)", kMs, &FR::detectionSec},
+    {"rollback_sec", "Rollback (ms)", kMs, &FR::rollbackSec},
+    {"reshard_sec", "Re-shard (ms)", kMs, &FR::reshardSec},
+    {"slowdown_sec", "Drag (ms)", kMs, &FR::slowdownSec},
+    {"lost_iterations", "Lost iters", {}, &FR::lostIterations},
+    {"world_before", "World", {}, &FR::worldBefore},
+    {"world_after", "", {.join = "->"}, &FR::worldAfter},
+};
+
+using AS = AllocSummary;
+
+const Fields<AS> kMemstats = {
+    {"mode", "Mode", {}, &AS::mode},
+    {"bytes_peak", "Peak bytes", {Cell::Bytes}, &AS::bytesPeak},
+    {"slabs_mapped", "Slabs", {}, &AS::slabsMapped},
+    {"requests_total", "Requests", {}, &AS::requestsTotal},
+    {"heap_calls_total", "Heap calls", {}, &AS::heapCallsTotal},
+    {"cache_hit_rate", "Hit rate", kPercent, &AS::cacheHitRate},
+    {"steady_alloc_calls_per_iter", "Steady allocs/iter", {},
+     &AS::steadyAllocCallsPerIter},
+    {"steady_requests_per_iter", "", {}, &AS::steadyRequestsPerIter},
+};
+
+// ---------------------------------------------------------------------
+// Serving.
+
+using SR = serve::ServingReport;
+
+const Fields<SR> kServingConfig = {
+    {"arrival", "", {}, &SR::arrival},
+    {"faults", "", {}, &SR::faultScenario},
+    {"rate_per_sec", "", {Cell::Fixed, 0}, &SR::ratePerSec},
+    {"duration_sec", "", kFix1, &SR::durationSec},
+    {"slo_ms", "", kFix1, &SR::sloMs},
+    {"replicas", "", {}, &SR::replicas},
+    {"max_batch", "", {}, &SR::maxBatch},
+    {"seed", "", {}, &SR::seed},
+    {"hedge", "", kOnOff, &SR::hedgeEnabled},
+    {"shed", "", kOnOff, &SR::shedEnabled},
+    {"fallback", "", kOnOff, &SR::fallbackEnabled},
+};
+
+const Fields<SR> kOutcomes = {
+    {"offered", "Offered", {}, &SR::offered},
+    {"full", "Full", {}, &SR::full},
+    {"fallback", "Fallback", {}, &SR::fallback},
+    {"shed", "Shed", {}, &SR::shed},
+    {"lost", "Lost", {}, &SR::lost},
+    {"slo_met", "SLO met", {}, &SR::sloMet},
+    {"goodput_per_sec", "Goodput/s", kFix1, &SR::goodputPerSec},
+};
+
+const Fields<SR> kLatency = {
+    {"p50", "p50", kFix2, &SR::p50Ms},   {"p95", "p95", kFix2, &SR::p95Ms},
+    {"p99", "p99", kFix2, &SR::p99Ms},   {"mean", "mean", kFix2, &SR::meanMs},
+    {"max", "max", kFix2, &SR::maxMs},
+};
+
+const Fields<SR> kRobustness = {
+    {"retries", "", {}, &SR::retries},
+    {"hedges", "", {}, &SR::hedgesLaunched},
+    {"hedge_wins", "", {}, &SR::hedgeWins},
+    {"timeouts", "", {}, &SR::timeouts},
+    {"breaker_opens", "", {}, &SR::breakerOpens},
+    {"cache_hit_rate", "", kPercent, &SR::cacheHitRate},
+    {"cache_hits", "", {}, &SR::cacheHits},
+    {"cache_misses", "", {}, &SR::cacheMisses},
+};
+
+const Fields<SR> kBatching = {
+    {"batches", "", {}, &SR::batches},
+    {"mean_size", "", kFix2, &SR::meanBatchSize},
+    {"busy_sec", "", kMs, &SR::busySec},
+    {"cancelled_sec", "", kMs, &SR::cancelledSec},
+    {"utilization", "", kPercent, &SR::utilization},
+    {"horizon_sec", "", {Cell::Fixed, 1, 1e3}, &SR::horizonSec},
+};
+
+using RR = serve::ReplicaReport;
+
+const Fields<RR> kReplicas = {
+    {"replica", "Replica", {}, &RR::replica},
+    {"batches_completed", "Done", {}, &RR::batchesCompleted},
+    {"batches_cancelled", "Cancelled", {}, &RR::batchesCancelled},
+    {"timeouts", "Timeouts", {}, &RR::timeouts},
+    {"breaker_opens", "Opens", {}, &RR::breakerOpens},
+    {"breaker", "Breaker", {}, &RR::breakerFinal},
+    {"busy_sec", "Busy (ms)", kMs, &RR::busySec},
+    {"cancelled_sec", "Waste (ms)", kMs, &RR::cancelledSec},
+};
+
+const Fields<SR> kTimeline = {
+    {"window_sec", "", kMs0, &SR::windowSec},
+    {"slo_target", "", {Cell::Fixed, 2, 100.0}, &SR::sloTarget},
+    {"budget_consumed", "", kPercent, &SR::budgetConsumed},
+};
+
+using SW = serve::ServingWindow;
+
+/** In JSON order; the table picks its columns in its own order. */
+const Fields<SW> kWindows = {
+    {"index", "Win", {}, &SW::index},
+    {"start_sec", "t (ms)", kMs0, &SW::startSec},
+    {"end_sec", "", {}, &SW::endSec},
+    {"offered", "Offered", {}, &SW::offered},
+    {"full", "", {}, &SW::full},
+    {"fallback", "", {}, &SW::fallback},
+    {"shed", "Shed", {}, &SW::shed},
+    {"lost", "Lost", {}, &SW::lost},
+    {"slo_met", "OK", {}, &SW::sloMet},
+    {"goodput_per_sec", "Goodput/s", {Cell::Fixed, 0}, &SW::goodputPerSec},
+    {"resolved", "", {}, &SW::resolved},
+    {"p50_ms", "p50", kFix2, &SW::p50Ms},
+    {"p95_ms", "p95", kFix2, &SW::p95Ms},
+    {"p99_ms", "p99", kFix2, &SW::p99Ms},
+    {"queue_depth_mean", "Queue", kFix1, &SW::queueDepthMean},
+    {"queue_depth_max", "", {}, &SW::queueDepthMax},
+    {"burn_rate", "Burn", kFix1, &SW::burnRate},
+    {"budget_consumed", "", {}, &SW::budgetConsumed},
+};
+
+using SA = serve::ServingAlert;
+
+const Fields<SA> kAlerts = {
+    {"rule", "Rule", {}, &SA::rule},
+    {"severity", "Severity", {}, &SA::severity},
+    {"start_window", "", {}, &SA::startWindow},
+    {"end_window", "", {}, &SA::endWindow},
+    {"start_sec", "From (ms)", kMs0, &SA::startSec},
+    {"end_sec", "To (ms)", kMs0, &SA::endSec},
+    {"peak_burn", "Peak burn", kFix1, &SA::peakBurn},
+    {"error_fraction", "Err %", kPct, &SA::errorFraction},
+};
+
+const Fields<SR> kTracing = {
+    {"sample_every", "", {}, &SR::traceSampleEvery},
+    {"traced_requests", "", {}, &SR::tracedRequests},
+};
+
+/** Shared body of servingJson / servingRecordJson. */
+void
+servingBody(obs::JsonWriter &w, const SR &rep)
+{
+    writeObject(w, "config", kServingConfig, rep);
+    writeObject(w, "outcomes", kOutcomes, rep);
+    writeObject(w, "latency_ms", kLatency, rep);
+    writeObject(w, "robustness", kRobustness, rep);
+    writeObject(w, "batching", kBatching, rep);
+    writeArray(w, "replicas", kReplicas, rep.perReplica);
+    // Timeline / tracing sections appear only when the run enabled
+    // them, so pre-windowing outputs stay byte-identical.
+    if (rep.windowSec > 0) {
+        w.key("timeline").beginObject();
+        writeMembers(w, kTimeline, rep);
+        writeArray(w, "windows", kWindows, rep.windows);
+        writeArray(w, "alerts", kAlerts, rep.alerts);
+        w.endObject();
+    }
+    if (rep.traceSampleEvery > 0)
+        writeObject(w, "tracing", kTracing, rep);
+}
+
+// ---------------------------------------------------------------------
+// Generation.
+
+using GR = gen::GenReport;
+
+const Fields<GR> kGenConfig = {
+    {"family", "", {}, &GR::family},
+    {"requested_n", "", {}, &GR::requestedVertices},
+    {"n", "", {}, &GR::vertices},
+    {"target_edges", "", {}, &GR::targetEdges},
+    {"chunks", "", {}, &GR::chunks},
+    {"lookahead", "", {}, &GR::lookahead},
+    {"seed", "", {}, &GR::seed},
+};
+
+const Fields<GR> kGenStream = {
+    {"edges", "Edges", {}, &GR::edges},
+    {"chunks_emitted", "Chunks", {}, &GR::chunksEmitted},
+    {"checksum", "Checksum", {Cell::Hex}, &GR::checksum},
+    {"peak_resident_bytes", "Peak res (MiB)", kMiB, &GR::peakResidentBytes},
+    {"resident_budget_bytes", "Budget (MiB)", kMiB,
+     &GR::residentBudgetBytes},
+};
+
+/** Wall clock: in the table and the telemetry record, never in --json. */
+const Fields<GR> kGenWallClock = {
+    {"threads", "", {}, &GR::threads},
+    {"wall_sec", "Wall (s)", {Cell::Fixed, 3}, &GR::wallSec},
+    {"edges_per_sec", "Edges/s", {Cell::General, 3}, &GR::edgesPerSec},
+};
+
+const Fields<GR> kGenDegrees = {
+    {"tracked", "Tracked", {}, &GR::degreeVertices},
+    {"stride", "Stride", {}, &GR::degreeSampleStride},
+    {"min", "Min", {}, &GR::minDegree},
+    {"max", "Max", {}, &GR::maxDegree},
+    {"mean", "Mean", kFix2, &GR::meanDegree},
+    {"modal_degree", "Modal", {}, &GR::modalDegree},
+    {"modal_fraction", "Modal %", kPct, &GR::modalFraction},
+    {"distinct", "Distinct", {}, &GR::distinctDegrees},
+    {"slope_valid", "", {}, &GR::slopeValid},
+    {"loglog_slope", "LogLog slope",
+     {.kind = Cell::Fixed, .digits = 3, .gate = "slope_valid"},
+     &GR::powerLawSlope},
+};
+
+const Fields<GR> kGenTraining = {
+    {"batches", "Batches", {}, &GR::trainBatches},
+    {"edges_consumed", "Edges consumed", {}, &GR::trainEdgesConsumed},
+    {"first_loss", "First loss", kLoss, &GR::trainFirstLoss},
+    {"last_loss", "Last loss", kLoss, &GR::trainLastLoss},
+    {"peak_resident_bytes", "Peak res (MiB)", kMiB,
+     &GR::trainPeakResidentBytes},
+};
+
+const Fields<GR> kGenWindowing = {
+    {"window_chunks", "", {}, &GR::trainWindowChunks},
+};
+
+using GW = gen::GenTrainWindow;
+
+const Fields<GW> kGenWindows = {
+    {"index", "Win", {}, &GW::index},
+    {"first_chunk", "", {}, &GW::firstChunk},
+    {"last_chunk", "", {}, &GW::lastChunk},
+    {"chunks", "Chunks", {}, &GW::chunks},
+    {"edges", "Edges", {}, &GW::edges},
+    {"mean_loss", "Mean loss", kLoss, &GW::meanLoss},
+    {"min_loss", "Min loss", kLoss, &GW::minLoss},
+    {"max_loss", "Max loss", kLoss, &GW::maxLoss},
+};
+
+/** Shared deterministic body of genJson / genRecordJson. */
+void
+genBody(obs::JsonWriter &w, const GR &rep)
+{
+    writeObject(w, "config", kGenConfig, rep);
+    writeObject(w, "stream", kGenStream, rep);
+    if (rep.hasDegrees)
+        writeObject(w, "degrees", kGenDegrees, rep);
+    if (rep.trained) {
+        w.key("training").beginObject();
+        writeMembers(w, kGenTraining, rep);
+        if (rep.trainWindowChunks > 0) {
+            writeMembers(w, kGenWindowing, rep);
+            writeArray(w, "windows", kGenWindows, rep.trainWindows);
+        }
+        w.endObject();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Operator dispatch. The table is transposed: one row per counter, its
+// header split into the Op and Variant cells.
+
+using DS = ops::DispatchStats;
+
+const Fields<DS> kOpstats = {
+    {"simd", "", {.kind = Cell::Flag, .yes = "avx2", .no = "scalar"},
+     &DS::simd},
+    {"calibrated", "", {.kind = Cell::Flag, .yes = "ran", .no = "not run"},
+     &DS::calibrated},
+    {"calib_ms", "", {Cell::Fixed, 3}, &DS::calibMs},
+    {"gemm_naive", "gemm naive", {}, &DS::gemmNaive},
+    {"gemm_tiled", "gemm tiled", {}, &DS::gemmTiled},
+    {"spmm_csr_scalar", "spmm csr_scalar", {}, &DS::spmmCsrScalar},
+    {"spmm_csr_vector", "spmm csr_vector", {}, &DS::spmmCsrVector},
+    {"spmm_coo", "spmm coo", {}, &DS::spmmCoo},
+    {"spmm_bell", "spmm bell", {}, &DS::spmmBell},
+};
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// Text renderings.
 
 void
 printTableOne(std::ostream &os)
@@ -30,29 +591,9 @@ void
 printFig2OpBreakdown(const std::vector<WorkloadProfile> &profiles,
                      std::ostream &os)
 {
-    TablePrinter table(
-        "Fig. 2: execution-time breakdown by operation (percent of "
-        "kernel time)");
-    std::vector<std::string> header = {"Workload"};
-    for (OpClass c : allOpClasses())
-        header.push_back(opClassName(c));
-    table.setHeader(header);
-
-    std::array<double, kNumOpClasses> mean{};
-    for (const WorkloadProfile &p : profiles) {
-        auto breakdown = p.profiler.opTimeBreakdown();
-        std::vector<std::string> row = {p.name};
-        for (size_t i = 0; i < kNumOpClasses; ++i) {
-            row.push_back(fixed(breakdown[i] * 100.0, 1));
-            mean[i] += breakdown[i] / profiles.size();
-        }
-        table.addRow(row);
-    }
-    std::vector<std::string> avg = {"MEAN"};
-    for (size_t i = 0; i < kNumOpClasses; ++i)
-        avg.push_back(fixed(mean[i] * 100.0, 1));
-    table.addRow(avg);
-    table.print(os);
+    const Figure &fig = kFigures[0];
+    const std::vector<double> mean = columnMeans(fig, profiles);
+    printFigure(os, fig, profiles, mean);
 
     const double gemm_spmm =
         (mean[static_cast<size_t>(OpClass::Gemm)] +
@@ -74,76 +615,34 @@ void
 printFig3InstructionMix(const std::vector<WorkloadProfile> &profiles,
                         std::ostream &os)
 {
-    TablePrinter table(
-        "Fig. 3: dynamic instruction mix (percent of instructions)");
-    table.setHeader({"Workload", "int32", "fp32", "other"});
-    double mean_int = 0, mean_fp = 0;
-    for (const WorkloadProfile &p : profiles) {
-        auto mix = p.profiler.instructionMix();
-        table.addRow({p.name, fixed(mix.int32Frac * 100.0, 1),
-                      fixed(mix.fp32Frac * 100.0, 1),
-                      fixed(mix.otherFrac * 100.0, 1)});
-        mean_int += mix.int32Frac / profiles.size();
-        mean_fp += mix.fp32Frac / profiles.size();
-    }
-    table.addRow({"MEAN", fixed(mean_int * 100.0, 1),
-                  fixed(mean_fp * 100.0, 1),
-                  fixed((1.0 - mean_int - mean_fp) * 100.0, 1)});
-    table.print(os);
+    const Figure &fig = kFigures[1];
+    std::vector<double> mean = columnMeans(fig, profiles);
+    mean[2] = 1.0 - mean[0] - mean[1];
+    printFigure(os, fig, profiles, mean);
     os << strfmt("Suite mean int32 share: %.1f%% (paper: 64%%); fp32: "
                  "%.1f%% (paper: 28.7%%)\n\n",
-                 mean_int * 100.0, mean_fp * 100.0);
+                 mean[0] * 100.0, mean[1] * 100.0);
 }
 
 void
 printFig4Throughput(const std::vector<WorkloadProfile> &profiles,
                     std::ostream &os)
 {
-    TablePrinter table("Fig. 4: arithmetic throughput per workload");
-    table.setHeader({"Workload", "GFLOPS", "GIOPS", "IPC"});
-    double mean_gf = 0, mean_gi = 0, mean_ipc = 0;
-    for (const WorkloadProfile &p : profiles) {
-        table.addRow({p.name, fixed(p.profiler.gflops(), 1),
-                      fixed(p.profiler.giops(), 1),
-                      fixed(p.profiler.avgIpc(), 2)});
-        mean_gf += p.profiler.gflops() / profiles.size();
-        mean_gi += p.profiler.giops() / profiles.size();
-        mean_ipc += p.profiler.avgIpc() / profiles.size();
-    }
-    table.addRow({"MEAN", fixed(mean_gf, 1), fixed(mean_gi, 1),
-                  fixed(mean_ipc, 2)});
-    table.print(os);
+    const Figure &fig = kFigures[2];
+    const std::vector<double> mean = columnMeans(fig, profiles);
+    printFigure(os, fig, profiles, mean);
     os << strfmt("Suite means (paper: 214 GFLOPS, 705 GIOPS, IPC "
                  "0.55): %.0f GFLOPS, %.0f GIOPS, IPC %.2f\n\n",
-                 mean_gf, mean_gi, mean_ipc);
+                 mean[0], mean[1], mean[2]);
 }
 
 void
 printFig5Stalls(const std::vector<WorkloadProfile> &profiles,
                 std::ostream &os)
 {
-    TablePrinter table(
-        "Fig. 5: warp issue-stall breakdown (percent of stall cycles)");
-    std::vector<std::string> header = {"Workload"};
-    for (size_t r = 0; r < kNumStallReasons; ++r)
-        header.push_back(stallReasonName(static_cast<StallReason>(r)));
-    table.setHeader(header);
-
-    StallVector mean{};
-    for (const WorkloadProfile &p : profiles) {
-        StallVector b = p.profiler.stallBreakdown();
-        std::vector<std::string> row = {p.name};
-        for (size_t r = 0; r < kNumStallReasons; ++r) {
-            row.push_back(fixed(b[r] * 100.0, 1));
-            mean[r] += b[r] / profiles.size();
-        }
-        table.addRow(row);
-    }
-    std::vector<std::string> avg = {"MEAN"};
-    for (size_t r = 0; r < kNumStallReasons; ++r)
-        avg.push_back(fixed(mean[r] * 100.0, 1));
-    table.addRow(avg);
-    table.print(os);
+    const Figure &fig = kFigures[3];
+    const std::vector<double> mean = columnMeans(fig, profiles);
+    printFigure(os, fig, profiles, mean);
     os << strfmt(
         "Suite means (paper: MemDep 34.3%%, ExecDep 29.5%%, IFetch "
         "21.6%%): MemDep %.1f%%, ExecDep %.1f%%, IFetch %.1f%%\n\n",
@@ -152,10 +651,7 @@ printFig5Stalls(const std::vector<WorkloadProfile> &profiles,
     // Per-op-class stall detail (paper Fig. 5's companion analysis).
     TablePrinter detail(
         "Per-operation stall shares (suite-wide, percent)");
-    std::vector<std::string> dh = {"Operation"};
-    for (size_t r = 0; r < kNumStallReasons; ++r)
-        dh.push_back(stallReasonName(static_cast<StallReason>(r)));
-    detail.setHeader(dh);
+    detail.setHeader(header(fig.fields, {"Operation"}));
     for (OpClass c : allOpClasses()) {
         StallVector sum{};
         double total = 0;
@@ -181,26 +677,12 @@ void
 printFig6Cache(const std::vector<WorkloadProfile> &profiles,
                std::ostream &os)
 {
-    TablePrinter table(
-        "Fig. 6: cache hit rates and load divergence (percent)");
-    table.setHeader({"Workload", "L1 hit", "L2 hit", "Divergent loads"});
-    double mean_l1 = 0, mean_l2 = 0, mean_div = 0;
-    for (const WorkloadProfile &p : profiles) {
-        table.addRow({p.name, fixed(p.profiler.l1HitRate() * 100.0, 1),
-                      fixed(p.profiler.l2HitRate() * 100.0, 1),
-                      fixed(p.profiler.divergentLoadFraction() * 100.0,
-                            1)});
-        mean_l1 += p.profiler.l1HitRate() / profiles.size();
-        mean_l2 += p.profiler.l2HitRate() / profiles.size();
-        mean_div +=
-            p.profiler.divergentLoadFraction() / profiles.size();
-    }
-    table.addRow({"MEAN", fixed(mean_l1 * 100.0, 1),
-                  fixed(mean_l2 * 100.0, 1), fixed(mean_div * 100.0, 1)});
-    table.print(os);
+    const Figure &fig = kFigures[4];
+    const std::vector<double> mean = columnMeans(fig, profiles);
+    printFigure(os, fig, profiles, mean);
     os << strfmt("Suite means (paper: L1 ~15%%, L2 ~70%%, divergent "
                  "~32.5%%): L1 %.1f%%, L2 %.1f%%, divergent %.1f%%\n\n",
-                 mean_l1 * 100.0, mean_l2 * 100.0, mean_div * 100.0);
+                 mean[0] * 100.0, mean[1] * 100.0, mean[2] * 100.0);
 
     TablePrinter detail("Per-operation L1 hit rate (suite-wide)");
     detail.setHeader({"Operation", "L1 hit", "L2 hit", "Divergent"});
@@ -230,21 +712,11 @@ void
 printFig7Sparsity(const std::vector<WorkloadProfile> &profiles,
                   std::ostream &os)
 {
-    TablePrinter table(
-        "Fig. 7: average sparsity of CPU-to-GPU transfers");
-    table.setHeader({"Workload", "Sparsity", "Transferred"});
-    double mean = 0;
-    for (const WorkloadProfile &p : profiles) {
-        table.addRow(
-            {p.name,
-             fixed(p.profiler.avgTransferSparsity() * 100.0, 1),
-             formatBytes(p.profiler.totalTransferBytes())});
-        mean += p.profiler.avgTransferSparsity() / profiles.size();
-    }
-    table.addRow({"MEAN", fixed(mean * 100.0, 1), ""});
-    table.print(os);
+    const Figure &fig = kFigures[5];
+    const std::vector<double> mean = columnMeans(fig, profiles);
+    printFigure(os, fig, profiles, mean, /*mean_last_column=*/false);
     os << strfmt("Suite mean transfer sparsity: %.1f%% (paper: "
-                 "43.2%%)\n\n", mean * 100.0);
+                 "43.2%%)\n\n", mean[0] * 100.0);
 }
 
 void
@@ -288,19 +760,10 @@ printFig9Scaling(
 {
     TablePrinter table(
         "Fig. 9: strong scaling with PyTorch DDP (time per epoch)");
-    table.setHeader({"Workload", "GPUs", "Epoch (ms)", "Compute (ms)",
-                     "Comm (ms)", "Exposed (ms)", "Overlap %",
-                     "Speedup vs 1 GPU"});
+    table.setHeader(header(kScaling, {"Workload"}));
     for (const auto &[name, points] : curves) {
-        for (const ScalingResult &r : points) {
-            table.addRow({name, strfmt("%d", r.worldSize),
-                          fixed(r.epochTimeSec * 1e3, 2),
-                          fixed(r.computeTimeSec * 1e3, 2),
-                          fixed(r.commTimeSec * 1e3, 2),
-                          fixed(r.commExposedSec * 1e3, 2),
-                          fixed(r.overlapFrac * 100.0, 1),
-                          fixed(r.speedup, 2)});
-        }
+        for (const ScalingResult &r : points)
+            table.addRow(row(kScaling, r, {name}));
     }
     table.print(os);
     os << "\n";
@@ -309,35 +772,19 @@ printFig9Scaling(
 void
 printFaultTolerance(const FaultToleranceResult &result, std::ostream &os)
 {
-    TablePrinter table(strfmt(
-        "Fault-tolerant DDP run: %s (%d -> %d GPUs)",
-        result.workload.c_str(), result.worldStart, result.worldEnd));
-    table.setHeader({"Fault", "At (ms)", "Replica", "Detect (ms)",
-                     "Rollback (ms)", "Re-shard (ms)", "Drag (ms)",
-                     "Lost iters", "World"});
-    for (const FaultRecord &e : result.events) {
-        table.addRow({faultKindName(e.kind),
-                      fixed(e.simTimeSec * 1e3, 2),
-                      strfmt("%d", e.replica),
-                      fixed(e.detectionSec * 1e3, 2),
-                      fixed(e.rollbackSec * 1e3, 2),
-                      fixed(e.reshardSec * 1e3, 2),
-                      fixed(e.slowdownSec * 1e3, 2),
-                      strfmt("%d", e.lostIterations),
-                      strfmt("%d->%d", e.worldBefore, e.worldAfter)});
-    }
-    table.print(os);
-
-    os << strfmt("Iterations: %d target, %d executed (%d replayed)\n",
-                 result.targetIterations, result.executedIterations,
-                 result.replayedIterations);
-    os << strfmt("Time: %.2f ms total vs %.2f ms ideal "
-                 "(checkpointing %.2f ms, recovery %.2f ms)\n",
-                 result.totalTimeSec * 1e3, result.idealTimeSec * 1e3,
-                 result.checkpointTimeSec * 1e3,
-                 result.recoveryTimeSec * 1e3);
-    os << strfmt("Goodput vs ideal: %.1f%%\n\n",
-                 result.goodput * 100.0);
+    printTable(os,
+               fill("Fault-tolerant DDP run: {workload} ({world_start} -> "
+                    "{world_end} GPUs)",
+                    kFault, result),
+               kFaultEvents, result.events);
+    os << fill("Iterations: {target_iterations} target, "
+               "{executed_iterations} executed ({replayed_iterations} "
+               "replayed)\n"
+               "Time: {total_time_sec} ms total vs {ideal_time_sec} ms "
+               "ideal (checkpointing {checkpoint_time_sec} ms, recovery "
+               "{recovery_time_sec} ms)\n"
+               "Goodput vs ideal: {goodput}\n\n",
+               kFault, result);
 }
 
 void
@@ -363,6 +810,38 @@ printCheckpointSweep(
     }
     table.print(os);
     os << "\n";
+}
+
+void
+printRunSummary(const WorkloadProfile &p, std::ostream &os)
+{
+    static const Fields<Pr> all = [] {
+        Fields<Pr> fields = kProfilerTotals;
+        for (const Figure &fig : kFigures)
+            fields = concat(fields, fig.fields);
+        return fields;
+    }();
+    TablePrinter table(p.name + " summary");
+    table.setHeader({"Metric", "Value"});
+    table.addRow({"loss (first -> last)",
+                  strfmt("%.4f -> %.4f", p.losses.front(),
+                         p.losses.back())});
+    const auto add = [&](const char *metric, const char *tmpl) {
+        table.addRow({metric, fill(tmpl, all, p.profiler)});
+    };
+    add("kernel launches", "{total_launches}");
+    add("kernel time", "{total_kernel_time_sec} ms");
+    table.addRow({"epoch time (est.)",
+                  fill("{epoch_time_sec} ms", kRunTotals, p)});
+    add("GFLOPS / GIOPS", "{gflops} / {giops}");
+    add("IPC", "{avg_ipc}");
+    add("instruction mix", "int32 {int32}% fp32 {fp32}%");
+    add("L1 / L2 hit rate", "{l1_hit_rate}% / {l2_hit_rate}%");
+    add("divergent loads", "{divergent_load_fraction}%");
+    add("H2D sparsity", "{avg_transfer_sparsity}%");
+    table.print(os);
+    os << "\n";
+    printKernelTable(p, os);
 }
 
 void
@@ -400,23 +879,9 @@ printMemstats(const std::vector<WorkloadProfile> &profiles,
               std::ostream &os)
 {
     TablePrinter table("Host allocator behaviour (--memstats)");
-    table.setHeader({"Workload", "Mode", "Peak bytes", "Slabs",
-                     "Requests", "Heap calls", "Hit rate",
-                     "Steady allocs/iter"});
-    for (const WorkloadProfile &p : profiles) {
-        const AllocSummary &m = p.memStats;
-        table.addRow(
-            {p.name, m.mode, formatBytes(m.bytesPeak),
-             strfmt("%llu", static_cast<unsigned long long>(
-                                m.slabsMapped)),
-             strfmt("%llu", static_cast<unsigned long long>(
-                                m.requestsTotal)),
-             strfmt("%llu", static_cast<unsigned long long>(
-                                m.heapCallsTotal)),
-             percent(m.cacheHitRate),
-             strfmt("%llu", static_cast<unsigned long long>(
-                                m.steadyAllocCallsPerIter))});
-    }
+    table.setHeader(header(kMemstats, {"Workload"}));
+    for (const WorkloadProfile &p : profiles)
+        table.addRow(row(kMemstats, p.memStats, {p.name}));
     table.print(os);
     os << "\n";
 }
@@ -424,106 +889,45 @@ printMemstats(const std::vector<WorkloadProfile> &profiles,
 void
 printServing(const serve::ServingReport &rep, std::ostream &os)
 {
-    os << strfmt("Serving: %s arrivals @ %.0f req/s for %.1f s, "
-                 "SLO %.1f ms, %d replicas, batch <= %d, faults=%s\n",
-                 rep.arrival.c_str(), rep.ratePerSec, rep.durationSec,
-                 rep.sloMs, rep.replicas, rep.maxBatch,
-                 rep.faultScenario.c_str());
-    os << strfmt("Robustness: hedge=%s shed=%s fallback=%s\n",
-                 rep.hedgeEnabled ? "on" : "off",
-                 rep.shedEnabled ? "on" : "off",
-                 rep.fallbackEnabled ? "on" : "off");
-
-    TablePrinter outcomes("Request outcomes");
-    outcomes.setHeader({"Offered", "Full", "Fallback", "Shed", "Lost",
-                        "SLO met", "Goodput/s"});
-    outcomes.addRow({strfmt("%lld", (long long)rep.offered),
-                     strfmt("%lld", (long long)rep.full),
-                     strfmt("%lld", (long long)rep.fallback),
-                     strfmt("%lld", (long long)rep.shed),
-                     strfmt("%lld", (long long)rep.lost),
-                     strfmt("%lld", (long long)rep.sloMet),
-                     fixed(rep.goodputPerSec, 1)});
-    outcomes.print(os);
-
-    TablePrinter latency("Latency over answered requests (ms)");
-    latency.setHeader({"p50", "p95", "p99", "mean", "max"});
-    latency.addRow({fixed(rep.p50Ms, 2), fixed(rep.p95Ms, 2),
-                    fixed(rep.p99Ms, 2), fixed(rep.meanMs, 2),
-                    fixed(rep.maxMs, 2)});
-    latency.print(os);
-
-    os << strfmt("Mechanics: %lld retries, %lld hedges (%lld won), "
-                 "%lld timeouts, %lld breaker opens, cache hit rate "
-                 "%.1f%%\n",
-                 (long long)rep.retries, (long long)rep.hedgesLaunched,
-                 (long long)rep.hedgeWins, (long long)rep.timeouts,
-                 (long long)rep.breakerOpens, rep.cacheHitRate * 100.0);
-    os << strfmt("Batching: %lld batches, mean size %.2f, "
-                 "utilization %.1f%% (%.2f ms useful, %.2f ms "
-                 "cancelled), horizon %.1f ms\n",
-                 (long long)rep.batches, rep.meanBatchSize,
-                 rep.utilization * 100.0, rep.busySec * 1e3,
-                 rep.cancelledSec * 1e3, rep.horizonSec * 1e3);
-
-    TablePrinter replicas("Per-replica accounting");
-    replicas.setHeader({"Replica", "Done", "Cancelled", "Timeouts",
-                        "Opens", "Breaker", "Busy (ms)", "Waste (ms)"});
-    for (const serve::ReplicaReport &r : rep.perReplica) {
-        replicas.addRow({strfmt("%d", r.replica),
-                         strfmt("%lld", (long long)r.batchesCompleted),
-                         strfmt("%lld", (long long)r.batchesCancelled),
-                         strfmt("%lld", (long long)r.timeouts),
-                         strfmt("%lld", (long long)r.breakerOpens),
-                         r.breakerFinal, fixed(r.busySec * 1e3, 2),
-                         fixed(r.cancelledSec * 1e3, 2)});
-    }
-    replicas.print(os);
+    os << fill("Serving: {arrival} arrivals @ {rate_per_sec} req/s for "
+               "{duration_sec} s, SLO {slo_ms} ms, {replicas} replicas, "
+               "batch <= {max_batch}, faults={faults}\n"
+               "Robustness: hedge={hedge} shed={shed} "
+               "fallback={fallback}\n",
+               kServingConfig, rep);
+    printTable(os, "Request outcomes", kOutcomes, {&rep, 1});
+    printTable(os, "Latency over answered requests (ms)", kLatency,
+               {&rep, 1});
+    os << fill("Mechanics: {retries} retries, {hedges} hedges "
+               "({hedge_wins} won), {timeouts} timeouts, {breaker_opens} "
+               "breaker opens, cache hit rate {cache_hit_rate}\n",
+               kRobustness, rep);
+    os << fill("Batching: {batches} batches, mean size {mean_size}, "
+               "utilization {utilization} ({busy_sec} ms useful, "
+               "{cancelled_sec} ms cancelled), horizon {horizon_sec} ms\n",
+               kBatching, rep);
+    printTable(os, "Per-replica accounting", kReplicas, rep.perReplica);
 
     if (rep.windowSec > 0) {
-        TablePrinter timeline(strfmt(
-            "Timeline (%.0f ms windows, SLO target %.2f%%, "
-            "budget consumed %.1f%%)",
-            rep.windowSec * 1e3, rep.sloTarget * 100.0,
-            rep.budgetConsumed * 100.0));
-        timeline.setHeader({"Win", "t (ms)", "Offered", "OK", "Shed",
-                            "Lost", "p50", "p95", "p99", "Goodput/s",
-                            "Queue", "Burn"});
-        for (const serve::ServingWindow &w : rep.windows) {
-            timeline.addRow(
-                {strfmt("%lld", (long long)w.index),
-                 fixed(w.startSec * 1e3, 0),
-                 strfmt("%lld", (long long)w.offered),
-                 strfmt("%lld", (long long)w.sloMet),
-                 strfmt("%lld", (long long)w.shed),
-                 strfmt("%lld", (long long)w.lost),
-                 fixed(w.p50Ms, 2), fixed(w.p95Ms, 2),
-                 fixed(w.p99Ms, 2), fixed(w.goodputPerSec, 0),
-                 fixed(w.queueDepthMean, 1), fixed(w.burnRate, 1)});
-        }
-        timeline.print(os);
-
-        if (rep.alerts.empty()) {
+        printTable(os,
+                   fill("Timeline ({window_sec} ms windows, SLO target "
+                        "{slo_target}%, budget consumed "
+                        "{budget_consumed})",
+                        kTimeline, rep),
+                   pick(kWindows, {"index", "start_sec", "offered",
+                                   "slo_met", "shed", "lost", "p50_ms",
+                                   "p95_ms", "p99_ms", "goodput_per_sec",
+                                   "queue_depth_mean", "burn_rate"}),
+                   rep.windows);
+        if (rep.alerts.empty())
             os << "SLO alerts: none\n";
-        } else {
-            TablePrinter alerts("SLO burn-rate alerts");
-            alerts.setHeader({"Rule", "Severity", "From (ms)",
-                              "To (ms)", "Peak burn", "Err %"});
-            for (const serve::ServingAlert &a : rep.alerts) {
-                alerts.addRow({a.rule, a.severity,
-                               fixed(a.startSec * 1e3, 0),
-                               fixed(a.endSec * 1e3, 0),
-                               fixed(a.peakBurn, 1),
-                               fixed(a.errorFraction * 100.0, 1)});
-            }
-            alerts.print(os);
-        }
+        else
+            printTable(os, "SLO burn-rate alerts", kAlerts, rep.alerts);
     }
     if (rep.traceSampleEvery > 0) {
-        os << strfmt("Tracing: every %lld-th request + exemplars, "
-                     "%lld span chains kept\n",
-                     (long long)rep.traceSampleEvery,
-                     (long long)rep.tracedRequests);
+        os << fill("Tracing: every {sample_every}-th request + "
+                   "exemplars, {traced_requests} span chains kept\n",
+                   kTracing, rep);
     }
     os << "\n";
 }
@@ -531,71 +935,23 @@ printServing(const serve::ServingReport &rep, std::ostream &os)
 void
 printGen(const gen::GenReport &rep, std::ostream &os)
 {
-    os << strfmt("Generation: family=%s n=%lld (requested %lld) "
-                 "target_edges=%lld chunks=%lld lookahead=%lld "
-                 "seed=%llu threads=%d\n",
-                 rep.family.c_str(), (long long)rep.vertices,
-                 (long long)rep.requestedVertices,
-                 (long long)rep.targetEdges, (long long)rep.chunks,
-                 (long long)rep.lookahead,
-                 (unsigned long long)rep.seed, rep.threads);
-
-    TablePrinter stream("Edge stream");
-    stream.setHeader({"Edges", "Chunks", "Checksum", "Peak res (MiB)",
-                      "Budget (MiB)", "Wall (s)", "Edges/s"});
-    stream.addRow({strfmt("%lld", (long long)rep.edges),
-                   strfmt("%lld", (long long)rep.chunksEmitted),
-                   strfmt("%016llx", (unsigned long long)rep.checksum),
-                   fixed(rep.peakResidentBytes / (1024.0 * 1024.0), 2),
-                   fixed(rep.residentBudgetBytes / (1024.0 * 1024.0), 2),
-                   fixed(rep.wallSec, 3),
-                   strfmt("%.3g", rep.edgesPerSec)});
-    stream.print(os);
-
-    if (rep.hasDegrees) {
-        TablePrinter deg("Degree distribution");
-        deg.setHeader({"Tracked", "Stride", "Min", "Max", "Mean",
-                       "Modal", "Modal %", "Distinct", "LogLog slope"});
-        deg.addRow({strfmt("%lld", (long long)rep.degreeVertices),
-                    strfmt("%lld", (long long)rep.degreeSampleStride),
-                    strfmt("%lld", (long long)rep.minDegree),
-                    strfmt("%lld", (long long)rep.maxDegree),
-                    fixed(rep.meanDegree, 2),
-                    strfmt("%lld", (long long)rep.modalDegree),
-                    fixed(rep.modalFraction * 100.0, 1),
-                    strfmt("%lld", (long long)rep.distinctDegrees),
-                    rep.slopeValid ? fixed(rep.powerLawSlope, 3)
-                                   : std::string("n/a")});
-        deg.print(os);
-    }
-
+    const Fields<GR> head =
+        concat(concat(kGenConfig, kGenStream), kGenWallClock);
+    os << fill("Generation: family={family} n={n} (requested "
+               "{requested_n}) target_edges={target_edges} chunks={chunks} "
+               "lookahead={lookahead} seed={seed} threads={threads}\n",
+               head, rep);
+    printTable(os, "Edge stream", head, {&rep, 1});
+    if (rep.hasDegrees)
+        printTable(os, "Degree distribution", kGenDegrees, {&rep, 1});
     if (rep.trained) {
-        TablePrinter train("Streamed training");
-        train.setHeader({"Batches", "Edges consumed", "First loss",
-                         "Last loss", "Peak res (MiB)"});
-        train.addRow(
-            {strfmt("%lld", (long long)rep.trainBatches),
-             strfmt("%lld", (long long)rep.trainEdgesConsumed),
-             strfmt("%.4g", rep.trainFirstLoss),
-             strfmt("%.4g", rep.trainLastLoss),
-             fixed(rep.trainPeakResidentBytes / (1024.0 * 1024.0), 2)});
-        train.print(os);
-
+        printTable(os, "Streamed training", kGenTraining, {&rep, 1});
         if (rep.trainWindowChunks > 0) {
-            TablePrinter wins(strfmt(
-                "Training timeline (%lld-chunk windows)",
-                (long long)rep.trainWindowChunks));
-            wins.setHeader({"Win", "Chunks", "Edges", "Mean loss",
-                            "Min loss", "Max loss"});
-            for (const gen::GenTrainWindow &w : rep.trainWindows) {
-                wins.addRow({strfmt("%lld", (long long)w.index),
-                             strfmt("%lld", (long long)w.chunks),
-                             strfmt("%lld", (long long)w.edges),
-                             strfmt("%.4g", w.meanLoss),
-                             strfmt("%.4g", w.minLoss),
-                             strfmt("%.4g", w.maxLoss)});
-            }
-            wins.print(os);
+            printTable(os,
+                       fill("Training timeline ({window_chunks}-chunk "
+                            "windows)",
+                            kGenWindowing, rep),
+                       kGenWindows, rep.trainWindows);
         }
     }
     os << "\n";
@@ -607,22 +963,200 @@ printOpstats(std::ostream &os)
     const ops::DispatchStats s = ops::Dispatch::instance().stats();
     TablePrinter table("Operator dispatch (--opstats)");
     table.setHeader({"Op", "Variant", "Calls"});
-    table.addRow({"gemm", "naive",
-                  strfmt("%lld", (long long)s.gemmNaive)});
-    table.addRow({"gemm", "tiled",
-                  strfmt("%lld", (long long)s.gemmTiled)});
-    table.addRow({"spmm", "csr_scalar",
-                  strfmt("%lld", (long long)s.spmmCsrScalar)});
-    table.addRow({"spmm", "csr_vector",
-                  strfmt("%lld", (long long)s.spmmCsrVector)});
-    table.addRow({"spmm", "coo",
-                  strfmt("%lld", (long long)s.spmmCoo)});
-    table.addRow({"spmm", "bell",
-                  strfmt("%lld", (long long)s.spmmBell)});
+    for (const Field<DS> &f : kOpstats) {
+        if (f.header.empty())
+            continue;
+        std::vector<std::string> cells = split(f.header, ' ');
+        cells.push_back(cellOf(kOpstats, f, s));
+        table.addRow(cells);
+    }
     table.print(os);
-    os << strfmt("  simd: %s   calibration: %s, %.3f ms\n\n",
-                 s.simd ? "avx2" : "scalar",
-                 s.calibrated ? "ran" : "not run", s.calibMs);
+    os << fill("  simd: {simd}   calibration: {calibrated}, {calib_ms} "
+               "ms\n\n",
+               kOpstats, s);
+}
+
+// ---------------------------------------------------------------------
+// JSON renderings.
+
+void
+profileJson(obs::JsonWriter &w, const WorkloadProfile &profile)
+{
+    w.beginObject();
+    writeMembers(w, kProfilerTotals, profile.profiler);
+    writeMembers(w, kRunTotals, profile);
+    for (const Figure &fig : kFigures)
+        writeObject(w, fig.key, fig.fields, profile.profiler);
+    w.key("losses").beginArray();
+    for (float loss : profile.losses)
+        w.value(static_cast<double>(loss));
+    w.endArray();
+    w.endObject();
+}
+
+std::string
+figuresJson(const std::vector<WorkloadProfile> &profiles)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("workloads").beginObject();
+        for (const WorkloadProfile &profile : profiles) {
+            w.key(profile.name);
+            profileJson(w, profile);
+        }
+        w.endObject();
+    });
+}
+
+std::string
+scalingJson(
+    const std::vector<std::pair<std::string, std::vector<ScalingResult>>>
+        &curves)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("fig9_scaling").beginObject();
+        for (const auto &[name, curve] : curves)
+            writeArray(w, name, kScaling, curve);
+        w.endObject();
+    });
+}
+
+std::string
+scalingRecordJson(const std::string &workload, bool weak,
+                  bool overlap_on,
+                  const std::vector<ScalingResult> &curve)
+{
+    // The telemetry schema bench_diff baselines key on: one object per
+    // world size, the communication split nested under "ddp" with its
+    // total named comm_total_sec.
+    static const Fields<SC> compute =
+        pick(kScaling, {"epoch_time_sec", "compute_time_sec"});
+    static const Fields<SC> ddp = [] {
+        Fields<SC> fields = pick(
+            kScaling, {"comm_time_sec", "comm_exposed_sec", "overlap_frac"});
+        fields[0].key = "comm_total_sec";
+        return fields;
+    }();
+    static const Fields<SC> speedup = pick(kScaling, {"speedup"});
+    return document([&](obs::JsonWriter &w) {
+        w.key("type").value("scaling");
+        w.key("workload").value(workload);
+        w.key("mode").value(weak ? "weak" : "strong");
+        w.key("overlap").value(overlap_on ? "on" : "off");
+        for (const ScalingResult &point : curve) {
+            w.key(fill("w{world_size}", kScaling, point)).beginObject();
+            writeMembers(w, compute, point);
+            writeObject(w, "ddp", ddp, point);
+            writeMembers(w, speedup, point);
+            w.endObject();
+        }
+    });
+}
+
+std::string
+faultJson(const FaultToleranceResult &result)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("fault_tolerance").beginObject();
+        writeMembers(w, kFault, result);
+        writeArray(w, "events", kFaultEvents, result.events);
+        w.endObject();
+    });
+}
+
+std::string
+runManifestJson(const WorkloadProfile &profile, const RunOptions &options,
+                int threads, double host_wall_us)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("type").value("manifest");
+        w.key("workload").value(profile.name);
+        w.key("seed").value(static_cast<int64_t>(options.seed));
+        w.key("scale").value(options.scale);
+        w.key("iterations").value(options.iterations);
+        w.key("warmup_iterations").value(options.warmupIterations);
+        w.key("inference_only").value(options.inferenceOnly);
+        w.key("threads").value(threads);
+        w.key("host_wall_us").value(host_wall_us);
+        w.key("profile");
+        profileJson(w, profile);
+    });
+}
+
+std::string
+memstatsJson(const std::vector<WorkloadProfile> &profiles)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("memstats").beginObject();
+        for (const WorkloadProfile &p : profiles)
+            writeObject(w, p.name, kMemstats, p.memStats);
+        w.endObject();
+    });
+}
+
+std::string
+servingJson(const serve::ServingReport &report)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("serving").beginObject();
+        servingBody(w, report);
+        w.endObject();
+    });
+}
+
+std::string
+servingRecordJson(const std::string &label,
+                  const serve::ServingReport &report)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("type").value("serving");
+        w.key("label").value(label);
+        servingBody(w, report);
+    });
+}
+
+std::string
+sloAlertRecordJson(const std::string &label,
+                   const serve::ServingReport &report,
+                   const serve::ServingAlert &alert)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("type").value("slo_alert");
+        w.key("label").value(label);
+        writeMembers(w, kAlerts, alert);
+        writeMembers(w, pick(kTimeline, {"window_sec", "slo_target"}),
+                     report);
+        writeMembers(w, pick(kServingConfig, {"faults"}), report);
+    });
+}
+
+std::string
+genJson(const gen::GenReport &report)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("generation").beginObject();
+        genBody(w, report);
+        w.endObject();
+    });
+}
+
+std::string
+genRecordJson(const std::string &label, const gen::GenReport &report)
+{
+    return document([&](obs::JsonWriter &w) {
+        w.key("type").value("generation");
+        w.key("label").value(label);
+        genBody(w, report);
+        writeMembers(w, kGenWallClock, report);
+    });
+}
+
+std::string
+opstatsJson()
+{
+    return document([](obs::JsonWriter &w) {
+        writeObject(w, "opstats", kOpstats,
+                    ops::Dispatch::instance().stats());
+    });
 }
 
 } // namespace reports

@@ -1,7 +1,9 @@
 /**
  * @file
  * Paper-style report emitters: one printer per table/figure of the
- * evaluation section, consuming WorkloadProfiles.
+ * evaluation section, consuming WorkloadProfiles. The tables and their
+ * JSON twins (core/reports_json.hh) are rendered from one field
+ * declaration per report (core/report_model.hh).
  */
 
 #ifndef GNNMARK_CORE_REPORTS_HH
@@ -86,6 +88,12 @@ void printServing(const serve::ServingReport &report, std::ostream &os);
  * and the optional degree-shape and streamed-training summaries.
  */
 void printGen(const gen::GenReport &report, std::ostream &os);
+
+/**
+ * `gnnmark run` summary for one workload: loss trajectory and headline
+ * metrics, followed by its kernel table.
+ */
+void printRunSummary(const WorkloadProfile &profile, std::ostream &os);
 
 /** nvprof-style top-kernel table for one workload. */
 void printKernelTable(const WorkloadProfile &profile, std::ostream &os,

@@ -1,11 +1,8 @@
 /**
  * @file
  * The perf-regression gate: compare two telemetry/report files and
- * fail loudly when the candidate drifted past tolerance.
- *
- *   bench_diff <baseline> <candidate> [--tol F]
- *              [--tol-prefix PREFIX=F]... [--allow-missing]
- *              [--ignore SUBSTR]... [--quiet]
+ * fail loudly when the candidate drifted past tolerance. The options
+ * are documented once, in usage() below (printed on a bad command line).
  *
  * Inputs are either JSONL telemetry files (gnnmark --telemetry) or
  * single-document JSON reports (gnnmark --json); both flatten to

@@ -27,6 +27,7 @@
 #include "base/thread_pool.hh"
 #include "base/units.hh"
 #include "core/characterization.hh"
+#include "core/report_model.hh"
 #include "core/reports.hh"
 #include "core/reports_json.hh"
 #include "core/suite.hh"
@@ -156,45 +157,6 @@ finishChromeTrace(ChromeTraceWriter &chrome, const std::string &path,
        << " — load it in chrome://tracing or Perfetto\n";
 }
 
-void
-printWorkloadSummary(const WorkloadProfile &p)
-{
-    auto mix = p.profiler.instructionMix();
-    TablePrinter table(p.name + " summary");
-    table.setHeader({"Metric", "Value"});
-    table.addRow({"loss (first -> last)",
-                  strfmt("%.4f -> %.4f", p.losses.front(),
-                         p.losses.back())});
-    table.addRow({"kernel launches",
-                  strfmt("%lld", static_cast<long long>(
-                                     p.profiler.totalLaunches()))});
-    table.addRow({"kernel time",
-                  strfmt("%.3f ms",
-                         p.profiler.totalKernelTimeSec() * 1e3)});
-    table.addRow({"epoch time (est.)",
-                  strfmt("%.3f ms", p.epochTimeSec * 1e3)});
-    table.addRow({"GFLOPS / GIOPS",
-                  strfmt("%.1f / %.1f", p.profiler.gflops(),
-                         p.profiler.giops())});
-    table.addRow({"IPC", strfmt("%.2f", p.profiler.avgIpc())});
-    table.addRow({"instruction mix",
-                  strfmt("int32 %.1f%% fp32 %.1f%%",
-                         mix.int32Frac * 100, mix.fp32Frac * 100)});
-    table.addRow({"L1 / L2 hit rate",
-                  strfmt("%.1f%% / %.1f%%",
-                         p.profiler.l1HitRate() * 100,
-                         p.profiler.l2HitRate() * 100)});
-    table.addRow({"divergent loads",
-                  strfmt("%.1f%%",
-                         p.profiler.divergentLoadFraction() * 100)});
-    table.addRow({"H2D sparsity",
-                  strfmt("%.1f%%",
-                         p.profiler.avgTransferSparsity() * 100)});
-    table.print(std::cout);
-    std::cout << "\n";
-    reports::printKernelTable(p, std::cout);
-}
-
 int
 cmdList(const Args &)
 {
@@ -233,7 +195,7 @@ cmdRun(const Args &args)
         if (args.opstats)
             std::cout << reports::opstatsJson() << "\n";
     } else {
-        printWorkloadSummary(profile);
+        reports::printRunSummary(profile, std::cout);
         if (args.memstats)
             reports::printMemstats({profile}, std::cout);
         if (args.opstats)
@@ -465,8 +427,9 @@ cmdTraceReplay(const Args &args)
         observers.push_back(&chrome);
     std::cout << "Replaying the recorded " << trace.header.workload
               << " stream...\n\n";
-    printWorkloadSummary(
-        toWorkloadProfile(trace::replayTrace(trace, cfg, observers)));
+    reports::printRunSummary(
+        toWorkloadProfile(trace::replayTrace(trace, cfg, observers)),
+        std::cout);
     if (!args.chromePath.empty())
         finishChromeTrace(chrome, args.chromePath, std::cout);
     return 0;
@@ -892,26 +855,39 @@ opsCsr(Rng &rng, int64_t rows, int64_t cols, double density)
     return csrFromTriples(rows, cols, std::move(triples));
 }
 
-/** Serialize the deterministic fields of one sweep row. */
+/**
+ * The sweep row's fields: --json and --telemetry carry the
+ * deterministic ones; host time is in the table alone.
+ */
+const reports::Fields<OpsRow> kOpsFields = {
+    {"op", "Op", {}, &OpsRow::op},
+    {"shape", "Shape", {}, &OpsRow::shape},
+    {"density", "Density", {reports::Cell::General, 3}, &OpsRow::density},
+    {"format", "Format", {}, &OpsRow::format},
+    {"variant", "Variant", {}, &OpsRow::variant},
+    {"flops", "", {}, &OpsRow::flops},
+    {"min_bytes", "", {}, &OpsRow::minBytes},
+    {"intensity", "AI (F/B)", {reports::Cell::Fixed, 2}, &OpsRow::intensity},
+    {"sim_us", "Sim us", {reports::Cell::Fixed, 2},
+     [](const OpsRow &r) { return r.simSec * 1e6; }},
+    {"gflops", "GFLOP/s", {reports::Cell::Fixed, 1}, &OpsRow::gflops},
+    {"roofline_gflops", "Roof", {reports::Cell::Fixed, 1},
+     &OpsRow::roofGflops},
+    {"roof_frac", "%roof", {reports::Cell::Percent, 1},
+     [](const OpsRow &r) {
+         return r.roofGflops > 0 ? r.gflops / r.roofGflops : 0.0;
+     }},
+    {"", "Host ms", {reports::Cell::Fixed, 3}, &OpsRow::hostMs},
+};
+
+/** One sweep row as a telemetry / --json line. */
 std::string
 opsRowJson(const OpsRow &row)
 {
     obs::JsonWriter w;
     w.beginObject();
     w.key("type").value("ops");
-    w.key("op").value(row.op);
-    w.key("shape").value(row.shape);
-    w.key("density").value(row.density);
-    w.key("format").value(row.format);
-    w.key("variant").value(row.variant);
-    w.key("flops").value(row.flops);
-    w.key("min_bytes").value(row.minBytes);
-    w.key("intensity").value(row.intensity);
-    w.key("sim_us").value(row.simSec * 1e6);
-    w.key("gflops").value(row.gflops);
-    w.key("roofline_gflops").value(row.roofGflops);
-    w.key("roof_frac").value(
-        row.roofGflops > 0 ? row.gflops / row.roofGflops : 0.0);
+    reports::writeMembers(w, kOpsFields, row);
     w.endObject();
     return w.str();
 }
@@ -1010,21 +986,8 @@ cmdOps(const Args &args)
         for (const OpsRow &row : rows)
             std::cout << opsRowJson(row) << "\n";
     } else {
-        TablePrinter table("Operator roofline (simulated V100)");
-        table.setHeader({"Op", "Shape", "Density", "Format", "Variant",
-                         "AI (F/B)", "Sim us", "GFLOP/s", "Roof",
-                         "%roof", "Host ms"});
-        for (const OpsRow &row : rows) {
-            const double roof = row.roofGflops;
-            table.addRow(
-                {row.op, row.shape, strfmt("%.3g", row.density),
-                 row.format, row.variant, strfmt("%.2f", row.intensity),
-                 strfmt("%.2f", row.simSec * 1e6),
-                 strfmt("%.1f", row.gflops), strfmt("%.1f", roof),
-                 strfmt("%.1f%%", roof > 0 ? row.gflops / roof * 100 : 0),
-                 strfmt("%.3f", row.hostMs)});
-        }
-        table.print(std::cout);
+        reports::printTable(std::cout, "Operator roofline (simulated V100)",
+                            kOpsFields, rows);
     }
     if (std::unique_ptr<obs::TelemetrySink> telemetry =
             openTelemetry(args)) {
