@@ -484,8 +484,9 @@ const Fields<GR> kGenStream = {
 /** Wall clock: in the table and the telemetry record, never in --json. */
 const Fields<GR> kGenWallClock = {
     {"threads", "", {}, &GR::threads},
-    {"wall_sec", "Wall (s)", {Cell::Fixed, 3}, &GR::wallSec},
-    {"edges_per_sec", "Edges/s", {Cell::General, 3}, &GR::edgesPerSec},
+    {"host_wall_sec", "Wall (s)", {Cell::Fixed, 3}, &GR::wallSec},
+    {"host_edges_per_sec", "Edges/s", {Cell::General, 3},
+     &GR::edgesPerSec},
 };
 
 const Fields<GR> kGenDegrees = {
@@ -687,22 +688,14 @@ printFig6Cache(const std::vector<WorkloadProfile> &profiles,
     TablePrinter detail("Per-operation L1 hit rate (suite-wide)");
     detail.setHeader({"Operation", "L1 hit", "L2 hit", "Divergent"});
     for (OpClass c : allOpClasses()) {
-        double l1a = 0, l1h = 0, l2a = 0, l2h = 0, ld = 0, dv = 0;
-        for (const WorkloadProfile &p : profiles) {
-            const OpClassStats &s = p.profiler.classStats(c);
-            l1a += s.l1Accesses;
-            l1h += s.l1Hits;
-            l2a += s.l2Accesses;
-            l2h += s.l2Hits;
-            ld += s.loads;
-            dv += s.divergentLoads;
-        }
-        if (l2a <= 0)
+        KernelCounters sum;
+        for (const WorkloadProfile &p : profiles)
+            sum += p.profiler.classStats(c);
+        if (sum.l2Accesses <= 0)
             continue;
-        detail.addRow({opClassName(c),
-                       fixed(l1a > 0 ? l1h / l1a * 100.0 : 0.0, 1),
-                       fixed(l2h / l2a * 100.0, 1),
-                       fixed(ld > 0 ? dv / ld * 100.0 : 0.0, 1)});
+        detail.addRow({opClassName(c), fixed(sum.l1HitRate() * 100.0, 1),
+                       fixed(sum.l2HitRate() * 100.0, 1),
+                       fixed(sum.divergentLoadFraction() * 100.0, 1)});
     }
     detail.print(os);
     os << "\n";
@@ -806,7 +799,7 @@ printCheckpointSweep(
                       fixed(r.checkpointTimeSec * 1e3, 2),
                       fixed(r.recoveryTimeSec * 1e3, 2),
                       strfmt("%d", r.replayedIterations),
-                      fixed(r.goodput, 3)});
+                      fill("{goodput}", kFault, r)});
     }
     table.print(os);
     os << "\n";

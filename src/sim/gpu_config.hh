@@ -73,7 +73,6 @@ struct GpuConfig
     // --- Model knobs ---
     int detailSampleLimit = 6;      ///< detailed sims per kernel name
     int maxTraceInstrs = 2048;      ///< recorded instrs per sampled warp
-    int simSmCount = 1;             ///< SMs simulated in detail
     bool l1BypassIrregular = false; ///< ablation: irregular ops skip L1
     bool h2dCompression = false;    ///< ablation: compress sparse copies
     double aluIlp = 2.0;            ///< default independent-instr window

@@ -11,14 +11,9 @@ namespace gnnmark {
 
 GpuDevice::GpuDevice(GpuConfig config, uint64_t seed)
     : cfg_(config), rng_(seed),
-      l2_(config.l2SizeBytes, config.l2Assoc, config.cacheLineBytes)
+      l2_(config.l2SizeBytes, config.l2Assoc, config.cacheLineBytes),
+      l1_(config.l1SizeBytes, config.l1Assoc, config.cacheLineBytes)
 {
-    GNN_ASSERT(cfg_.simSmCount >= 1 && cfg_.simSmCount <= cfg_.numSms,
-               "simSmCount out of range");
-    for (int s = 0; s < cfg_.simSmCount; ++s) {
-        l1s_.emplace_back(cfg_.l1SizeBytes, cfg_.l1Assoc,
-                          cfg_.cacheLineBytes);
-    }
 }
 
 GpuDevice::Geometry
@@ -53,147 +48,70 @@ GpuDevice::simulateDetailed(
     GNN_ASSERT(desc.trace != nullptr || desc.replay != nullptr,
                "kernel '%s' has no trace generator", desc.name.c_str());
 
-    KernelRecord rec;
-    double sim_warps = 0;
-    double cycles_per_wave = 0;
-
-    // Generated traces are owned here; replayed traces are borrowed
-    // from the recording. Reserve up front so pointers into `generated`
-    // survive the push_backs.
+    // Blocks are distributed to SMs round-robin; simulate the first
+    // resident wave of SM 0. Generated traces are owned here; replayed
+    // traces are borrowed from the recording. Reserve up front so
+    // pointers into `generated` survive the push_backs.
     std::vector<WarpTrace> generated;
     if (!desc.replay) {
         generated.reserve(static_cast<size_t>(geo.residentBlocks) *
                           desc.warpsPerBlock);
     }
-
-    for (int s = 0; s < cfg_.simSmCount; ++s) {
-        // Blocks are distributed to SMs round-robin; simulate the first
-        // resident wave of SM `s`.
-        std::vector<const WarpTrace *> traces;
-        generated.clear();
-        for (int rb = 0; rb < geo.residentBlocks; ++rb) {
-            int64_t block = s + static_cast<int64_t>(rb) * cfg_.numSms;
-            if (block >= desc.blocks)
-                break;
-            for (int w = 0; w < desc.warpsPerBlock; ++w) {
-                int64_t warp_id = block * desc.warpsPerBlock + w;
-                const WarpTrace *trace;
-                if (desc.replay) {
-                    trace = &desc.replay(warp_id);
-                } else {
-                    generated.emplace_back();
-                    WarpTraceSink sink(generated.back(),
-                                       cfg_.maxTraceInstrs,
-                                       cfg_.cacheLineBytes);
-                    desc.trace(warp_id, sink);
-                    trace = &generated.back();
-                }
-                if (captured != nullptr)
-                    captured->emplace_back(warp_id, *trace);
-                traces.push_back(trace);
+    std::vector<const WarpTrace *> traces;
+    for (int rb = 0; rb < geo.residentBlocks; ++rb) {
+        int64_t block = static_cast<int64_t>(rb) * cfg_.numSms;
+        if (block >= desc.blocks)
+            break;
+        for (int w = 0; w < desc.warpsPerBlock; ++w) {
+            int64_t warp_id = block * desc.warpsPerBlock + w;
+            const WarpTrace *trace;
+            if (desc.replay) {
+                trace = &desc.replay(warp_id);
+            } else {
+                generated.emplace_back();
+                WarpTraceSink sink(generated.back(), cfg_.maxTraceInstrs,
+                                   cfg_.cacheLineBytes);
+                desc.trace(warp_id, sink);
+                trace = &generated.back();
             }
+            if (captured != nullptr)
+                captured->emplace_back(warp_id, *trace);
+            traces.push_back(trace);
         }
-        if (traces.empty())
-            continue;
-
-        // Volta invalidates the (non-coherent) L1 at kernel
-        // boundaries; only the L2 persists across launches.
-        l1s_[s].flush();
-        WarpPipeline pipeline(cfg_, l1s_[s], l2_, rng_);
-        WaveResult wave = pipeline.run(traces, desc);
-
-        sim_warps += static_cast<double>(traces.size());
-        cycles_per_wave += wave.cycles;
-        rec.fp32Instrs += wave.fp32Instrs;
-        rec.int32Instrs += wave.int32Instrs;
-        rec.memInstrs += wave.memInstrs;
-        rec.miscInstrs += wave.miscInstrs;
-        rec.flops += wave.flops;
-        rec.intOps += wave.intOps;
-        rec.loads += wave.loads;
-        rec.divergentLoads += wave.divergentLoads;
-        rec.l1Accesses += wave.l1Accesses;
-        rec.l1Hits += wave.l1Hits;
-        rec.l2Accesses += wave.l2Accesses;
-        rec.l2Hits += wave.l2Hits;
-        rec.dramBytes += wave.dramBytes;
-        for (size_t r = 0; r < kNumStallReasons; ++r)
-            rec.stallCycles[r] += wave.stalls[r];
     }
-    GNN_ASSERT(sim_warps > 0, "kernel '%s' produced no simulated warps",
-               desc.name.c_str());
-    cycles_per_wave /= cfg_.simSmCount;
 
-    // Scale sampled counters to the full grid.
-    const double scale = static_cast<double>(geo.totalWarps) / sim_warps;
-    rec.fp32Instrs *= scale;
-    rec.int32Instrs *= scale;
-    rec.memInstrs *= scale;
-    rec.miscInstrs *= scale;
-    rec.flops *= scale;
-    rec.intOps *= scale;
-    rec.loads *= scale;
-    rec.divergentLoads *= scale;
-    rec.l1Accesses *= scale;
-    rec.l1Hits *= scale;
-    rec.l2Accesses *= scale;
-    rec.l2Hits *= scale;
-    rec.dramBytes *= scale;
-    for (auto &sc : rec.stallCycles)
-        sc *= scale;
+    // Volta invalidates the (non-coherent) L1 at kernel boundaries;
+    // only the L2 persists across launches.
+    l1_.flush();
+    WarpPipeline pipeline(cfg_, l1_, l2_, rng_);
+    const WaveResult wave = pipeline.run(traces, desc);
 
-    rec.cycles = cycles_per_wave * static_cast<double>(geo.waves);
+    // Scale the sampled counters to the full grid.
+    const double warps = static_cast<double>(geo.totalWarps);
+    KernelRecord rec;
+    static_cast<KernelCounters &>(rec) = wave;
+    rec *= warps / static_cast<double>(traces.size());
+    rec.cycles = wave.cycles * static_cast<double>(geo.waves);
     rec.detailed = true;
 
     // Update the per-name running averages used for replay.
-    const double warps = static_cast<double>(geo.totalWarps);
-    state.fp32PerWarp += rec.fp32Instrs / warps;
-    state.int32PerWarp += rec.int32Instrs / warps;
-    state.memPerWarp += rec.memInstrs / warps;
-    state.miscPerWarp += rec.miscInstrs / warps;
-    state.flopsPerWarp += rec.flops / warps;
-    state.intOpsPerWarp += rec.intOps / warps;
-    state.loadsPerWarp += rec.loads / warps;
-    state.divergentPerWarp += rec.divergentLoads / warps;
-    state.l1AccPerWarp += rec.l1Accesses / warps;
-    state.l1HitPerWarp += rec.l1Hits / warps;
-    state.l2AccPerWarp += rec.l2Accesses / warps;
-    state.l2HitPerWarp += rec.l2Hits / warps;
-    state.dramBytesPerWarp += rec.dramBytes / warps;
-    state.cyclesPerWave += cycles_per_wave;
-    for (size_t r = 0; r < kNumStallReasons; ++r)
-        state.stallsPerWarp[r] += rec.stallCycles[r] / warps;
+    KernelCounters per_warp = rec;
+    per_warp /= warps;
+    state.perWarp += per_warp;
+    state.cyclesPerWave += wave.cycles;
     ++state.detailedRuns;
-
     return rec;
 }
 
 KernelRecord
-GpuDevice::replayFromSample(const KernelDesc &desc, const Geometry &geo,
-                            const SampleState &state)
+GpuDevice::replayFromSample(const Geometry &geo, const SampleState &state)
 {
     const double n = static_cast<double>(state.detailedRuns);
-    const double warps = static_cast<double>(geo.totalWarps);
-
     KernelRecord rec;
-    rec.detailed = false;
-    rec.fp32Instrs = state.fp32PerWarp / n * warps;
-    rec.int32Instrs = state.int32PerWarp / n * warps;
-    rec.memInstrs = state.memPerWarp / n * warps;
-    rec.miscInstrs = state.miscPerWarp / n * warps;
-    rec.flops = state.flopsPerWarp / n * warps;
-    rec.intOps = state.intOpsPerWarp / n * warps;
-    rec.loads = state.loadsPerWarp / n * warps;
-    rec.divergentLoads = state.divergentPerWarp / n * warps;
-    rec.l1Accesses = state.l1AccPerWarp / n * warps;
-    rec.l1Hits = state.l1HitPerWarp / n * warps;
-    rec.l2Accesses = state.l2AccPerWarp / n * warps;
-    rec.l2Hits = state.l2HitPerWarp / n * warps;
-    rec.dramBytes = state.dramBytesPerWarp / n * warps;
-    for (size_t r = 0; r < kNumStallReasons; ++r)
-        rec.stallCycles[r] = state.stallsPerWarp[r] / n * warps;
+    static_cast<KernelCounters &>(rec) = state.perWarp;
+    rec /= n;
+    rec *= static_cast<double>(geo.totalWarps);
     rec.cycles = state.cyclesPerWave / n * static_cast<double>(geo.waves);
-    (void)desc;
     return rec;
 }
 
@@ -229,7 +147,7 @@ GpuDevice::launch(const KernelDesc &desc)
         rec = simulateDetailed(desc, geo, state,
                                hook_ != nullptr ? &captured : nullptr);
     } else {
-        rec = replayFromSample(desc, geo, state);
+        rec = replayFromSample(geo, state);
     }
     rec.name = desc.name;
     rec.opClass = desc.opClass;
@@ -427,8 +345,7 @@ void
 GpuDevice::flushCaches()
 {
     l2_.flush();
-    for (auto &l1 : l1s_)
-        l1.flush();
+    l1_.flush();
     if (hook_ != nullptr)
         hook_->onMarker(TraceMarker::CachesFlushed);
 }

@@ -3,8 +3,8 @@
  * The simulated GPU.
  *
  * A GpuDevice accepts kernel launches (KernelDesc) from the operator
- * layer, simulates a sampled subset of warps in detail through the
- * cache/pipeline models, scales the results to the full grid, and
+ * layer, simulates the first resident wave of SM 0 in detail through
+ * the cache/pipeline models, scales the results to the full grid, and
  * forwards a KernelRecord to registered observers. Per kernel name it
  * performs up to `detailSampleLimit` detailed simulations and reuses
  * averaged per-warp rates afterwards — mirroring the paper's nvprof
@@ -133,13 +133,9 @@ class GpuDevice
     {
         int64_t invocations = 0;
         int detailedRuns = 0;
-        // Sums over detailed runs of per-warp quantities.
-        double fp32PerWarp = 0, int32PerWarp = 0, memPerWarp = 0,
-               miscPerWarp = 0, flopsPerWarp = 0, intOpsPerWarp = 0,
-               loadsPerWarp = 0, divergentPerWarp = 0, l1AccPerWarp = 0,
-               l1HitPerWarp = 0, l2AccPerWarp = 0, l2HitPerWarp = 0,
-               dramBytesPerWarp = 0, cyclesPerWave = 0;
-        StallVector stallsPerWarp{};
+        // Sums over detailed runs of per-warp counters and wave cycles.
+        KernelCounters perWarp;
+        double cyclesPerWave = 0;
     };
 
     struct Geometry
@@ -154,8 +150,7 @@ class GpuDevice
     KernelRecord simulateDetailed(
         const KernelDesc &desc, const Geometry &geo, SampleState &state,
         std::vector<std::pair<int64_t, WarpTrace>> *captured);
-    KernelRecord replayFromSample(const KernelDesc &desc,
-                                  const Geometry &geo,
+    KernelRecord replayFromSample(const Geometry &geo,
                                   const SampleState &state);
     void finishRecord(KernelRecord &record, const Geometry &geo);
     TransferRecord recordTransfer(double bytes, double zero_fraction,
@@ -166,7 +161,7 @@ class GpuDevice
     GpuConfig cfg_;
     Rng rng_;
     CacheModel l2_;
-    std::vector<CacheModel> l1s_; ///< one per simulated SM
+    CacheModel l1_; ///< the L1 of SM 0, the one SM simulated in detail
     std::unordered_map<std::string, SampleState> samples_;
     std::vector<KernelObserver *> observers_;
     DeviceTraceHook *hook_ = nullptr;

@@ -8,6 +8,8 @@
 #ifndef GNNMARK_SIM_KERNEL_RECORD_HH
 #define GNNMARK_SIM_KERNEL_RECORD_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -16,28 +18,19 @@
 
 namespace gnnmark {
 
-/** Per-launch metrics, scaled to the full grid. */
-struct KernelRecord
+/**
+ * The counters every stage sums per launch, from the warp pipeline to
+ * the reports: the instruction mix, lane-level work, memory behaviour
+ * and stall cycles. Stages combine whole records field by field with
+ * +=, *= and /=; kKernelCounterFields lists the scalar fields once.
+ */
+struct KernelCounters
 {
-    std::string name;
-    OpClass opClass = OpClass::Other;
-    int64_t invocation = 0; ///< per-name launch counter (0-based)
-    bool detailed = false;  ///< freshly simulated vs. reused sample
-
-    double timeSec = 0;     ///< kernel duration (excludes launch gap)
-    double cycles = 0;      ///< SM cycles over the kernel duration
-    int activeSms = 0;      ///< SMs with at least one resident block
-    double ipc = 0;         ///< warp instrs / cycle / active SM
-
-    // Dynamic instruction counts (warp instructions, full grid).
+    // Dynamic instruction counts (warp instructions).
     double fp32Instrs = 0;
     double int32Instrs = 0;
     double memInstrs = 0;
     double miscInstrs = 0;
-    double totalInstrs() const
-    {
-        return fp32Instrs + int32Instrs + memInstrs + miscInstrs;
-    }
 
     // Lane-level arithmetic work (for GFLOPS / GIOPS).
     double flops = 0;
@@ -54,6 +47,95 @@ struct KernelRecord
 
     // Warp issue-stall cycles by reason (relative magnitudes matter).
     StallVector stallCycles{};
+
+    double
+    totalInstrs() const
+    {
+        return fp32Instrs + int32Instrs + memInstrs + miscInstrs;
+    }
+
+    /** @{ Ratios; 0 when the denominator is 0. */
+    double l1HitRate() const { return ratio(l1Hits, l1Accesses); }
+    double l2HitRate() const { return ratio(l2Hits, l2Accesses); }
+    double
+    divergentLoadFraction() const
+    {
+        return ratio(divergentLoads, loads);
+    }
+    /** @} */
+
+    KernelCounters &operator+=(const KernelCounters &other);
+    KernelCounters &operator*=(double factor);
+    KernelCounters &operator/=(double divisor);
+
+  private:
+    static double
+    ratio(double num, double den)
+    {
+        return den > 0 ? num / den : 0.0;
+    }
+};
+
+/** Every scalar field of KernelCounters (stallCycles aside). */
+inline constexpr std::array<double KernelCounters::*, 13>
+    kKernelCounterFields = {
+        &KernelCounters::fp32Instrs, &KernelCounters::int32Instrs,
+        &KernelCounters::memInstrs, &KernelCounters::miscInstrs,
+        &KernelCounters::flops, &KernelCounters::intOps,
+        &KernelCounters::loads, &KernelCounters::divergentLoads,
+        &KernelCounters::l1Accesses, &KernelCounters::l1Hits,
+        &KernelCounters::l2Accesses, &KernelCounters::l2Hits,
+        &KernelCounters::dramBytes,
+};
+
+// A field added to KernelCounters without an entry above fails here.
+static_assert(sizeof(KernelCounters) ==
+                  sizeof(double) * kKernelCounterFields.size() +
+                      sizeof(StallVector),
+              "kKernelCounterFields must list every KernelCounters field");
+
+inline KernelCounters &
+KernelCounters::operator+=(const KernelCounters &other)
+{
+    for (double KernelCounters::*f : kKernelCounterFields)
+        this->*f += other.*f;
+    for (size_t r = 0; r < kNumStallReasons; ++r)
+        stallCycles[r] += other.stallCycles[r];
+    return *this;
+}
+
+inline KernelCounters &
+KernelCounters::operator*=(double factor)
+{
+    for (double KernelCounters::*f : kKernelCounterFields)
+        this->*f *= factor;
+    for (double &s : stallCycles)
+        s *= factor;
+    return *this;
+}
+
+inline KernelCounters &
+KernelCounters::operator/=(double divisor)
+{
+    for (double KernelCounters::*f : kKernelCounterFields)
+        this->*f /= divisor;
+    for (double &s : stallCycles)
+        s /= divisor;
+    return *this;
+}
+
+/** Per-launch metrics, scaled to the full grid. */
+struct KernelRecord : KernelCounters
+{
+    std::string name;
+    OpClass opClass = OpClass::Other;
+    int64_t invocation = 0; ///< per-name launch counter (0-based)
+    bool detailed = false;  ///< freshly simulated vs. reused sample
+
+    double timeSec = 0;     ///< kernel duration (excludes launch gap)
+    double cycles = 0;      ///< SM cycles over the kernel duration
+    int activeSms = 0;      ///< SMs with at least one resident block
+    double ipc = 0;         ///< warp instrs / cycle / active SM
 };
 
 /** One host-to-device copy, with the sparsity the paper tracks. */

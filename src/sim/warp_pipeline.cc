@@ -51,12 +51,10 @@ WarpPipeline::run(const std::vector<const WarpTrace *> &warps,
         res.intOps += w->counts.intOps;
         recorded_total += w->recordedInstrs;
     }
-    res.issued = res.fp32Instrs + res.int32Instrs + res.memInstrs +
-                 res.miscInstrs;
     if (recorded_total == 0)
         return res;
-    const double extrapolate =
-        std::max(1.0, res.issued / static_cast<double>(recorded_total));
+    const double extrapolate = std::max(
+        1.0, res.totalInstrs() / static_cast<double>(recorded_total));
 
     // Fresh per-kernel I-caches (different code than the last kernel):
     // an L0 miss that also misses the (cold) L1I fetches from the L2 /
@@ -93,7 +91,7 @@ WarpPipeline::run(const std::vector<const WarpTrace *> &warps,
     uint64_t now = 0;
 
     auto attribute = [&](StallReason r, double cycles) {
-        res.stalls[static_cast<size_t>(r)] += cycles;
+        res.stallCycles[static_cast<size_t>(r)] += cycles;
     };
 
     // Service one memory instruction; returns dependent-use latency.
@@ -318,7 +316,7 @@ WarpPipeline::run(const std::vector<const WarpTrace *> &warps,
     }
 
     res.cycles = static_cast<double>(now) * extrapolate;
-    for (auto &s : res.stalls)
+    for (auto &s : res.stallCycles)
         s *= extrapolate;
     res.loads *= extrapolate;
     res.divergentLoads *= extrapolate;

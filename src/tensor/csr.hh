@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "base/allocator.hh"
+#include "base/rng.hh"
 
 namespace gnnmark {
 
@@ -50,6 +51,14 @@ struct CsrMatrix
 CsrMatrix csrFromTriples(int64_t rows, int64_t cols,
                          std::vector<std::tuple<int32_t, int32_t, float>>
                              triples);
+
+/**
+ * A seeded random rows x cols operand: each cell is kept with
+ * probability `density` and drawn from rng.uniform(-1, 1), in
+ * row-major order.
+ */
+CsrMatrix uniformRandomCsr(Rng &rng, int64_t rows, int64_t cols,
+                           double density);
 
 } // namespace gnnmark
 

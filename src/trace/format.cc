@@ -90,7 +90,6 @@ encodeGpuConfig(ByteBuilder &out, const GpuConfig &c)
     out.svarint(c.elemBytes);
     out.svarint(c.detailSampleLimit);
     out.svarint(c.maxTraceInstrs);
-    out.svarint(c.simSmCount);
     out.u8(c.l1BypassIrregular ? 1 : 0);
     out.u8(c.h2dCompression ? 1 : 0);
     out.f64(c.aluIlp);
@@ -139,7 +138,6 @@ decodeGpuConfig(ByteCursor &in)
     c.elemBytes = static_cast<int>(in.svarint());
     c.detailSampleLimit = static_cast<int>(in.svarint());
     c.maxTraceInstrs = static_cast<int>(in.svarint());
-    c.simSmCount = static_cast<int>(in.svarint());
     c.l1BypassIrregular = in.u8() != 0;
     c.h2dCompression = in.u8() != 0;
     c.aluIlp = in.f64();

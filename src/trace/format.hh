@@ -53,8 +53,9 @@ constexpr char kTraceMagic[8] = {'G', 'N', 'M', 'K', 'T', 'R', 'C', 'E'};
  * On-disk layout version; see the versioning policy above.
  * v2: BackwardBegin/BackwardEnd timeline markers (marker byte range
  * widened), recorded for the DDP overlap model.
+ * v3: the recording GpuConfig no longer carries `simSmCount`.
  */
-constexpr uint32_t kTraceFormatVersion = 2;
+constexpr uint32_t kTraceFormatVersion = 3;
 
 /**
  * Interning string table: repeated kernel names / transfer tags are

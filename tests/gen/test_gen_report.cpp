@@ -80,8 +80,8 @@ TEST(GenReportJson, DocumentOmitsWallClock)
     // The telemetry record is where timing lives.
     const std::string record =
         reports::genRecordJson("gen", sampleReport());
-    EXPECT_NE(record.find("\"wall_sec\""), std::string::npos);
-    EXPECT_NE(record.find("\"edges_per_sec\""), std::string::npos);
+    EXPECT_NE(record.find("\"host_wall_sec\""), std::string::npos);
+    EXPECT_NE(record.find("\"host_edges_per_sec\""), std::string::npos);
     EXPECT_NE(record.find("\"type\":\"generation\""), std::string::npos);
 }
 

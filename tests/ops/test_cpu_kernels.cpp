@@ -33,22 +33,6 @@ operand(Rng &rng, int64_t elems, double zero_frac = 0.0)
     return v;
 }
 
-CsrMatrix
-randomCsr(Rng &rng, int64_t rows, int64_t cols, double density)
-{
-    std::vector<std::tuple<int32_t, int32_t, float>> triples;
-    for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-            if (rng.bernoulli(density)) {
-                triples.emplace_back(static_cast<int32_t>(r),
-                                     static_cast<int32_t>(c),
-                                     rng.uniform(-1.0f, 1.0f));
-            }
-        }
-    }
-    return csrFromTriples(rows, cols, std::move(triples));
-}
-
 bool
 bitwiseEqual(const std::vector<float> &a, const std::vector<float> &b)
 {
@@ -92,7 +76,7 @@ TEST(CpuKernels, SpmmVariantsBitwiseMatchScalar)
     };
     for (const auto &tc : cases) {
         const CsrMatrix csr =
-            randomCsr(rng, tc.rows, tc.cols, tc.density);
+            uniformRandomCsr(rng, tc.rows, tc.cols, tc.density);
         const CooMatrix coo = cooFromCsr(csr);
         const BlockedEllMatrix bell = bellFromCsr(csr);
         const std::vector<float> b = operand(rng, tc.cols * tc.f);

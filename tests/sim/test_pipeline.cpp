@@ -50,7 +50,7 @@ TEST_F(PipelineFixture, EmptyWaveIsFree)
 {
     WaveResult r = run({});
     EXPECT_EQ(r.cycles, 0);
-    EXPECT_EQ(r.issued, 0);
+    EXPECT_EQ(r.totalInstrs(), 0);
 }
 
 TEST_F(PipelineFixture, SingleWarpAluBoundedByDependencies)
@@ -62,7 +62,7 @@ TEST_F(PipelineFixture, SingleWarpAluBoundedByDependencies)
         (4096.0 / cfg.cacheLineBytes) * cfg.ifetchColdCycles;
     EXPECT_GE(r.cycles, 1000);
     EXPECT_LE(r.cycles, 1000.0 * cfg.aluLatency + cold_fetch);
-    EXPECT_DOUBLE_EQ(r.issued, 1000);
+    EXPECT_DOUBLE_EQ(r.totalInstrs(), 1000);
     EXPECT_DOUBLE_EQ(r.flops, 1000 * 64.0);
 }
 
@@ -111,9 +111,9 @@ TEST_F(PipelineFixture, MemoryStallsDominantForPointerChase)
     KernelDesc desc;
     desc.loadDepFraction = 1.0; // every load feeds the next instr
     WaveResult r = run({streamTrace(300, 0, 4096)}, desc);
-    double mem = r.stalls[static_cast<size_t>(
+    double mem = r.stallCycles[static_cast<size_t>(
         StallReason::MemoryDependency)];
-    double exec = r.stalls[static_cast<size_t>(
+    double exec = r.stallCycles[static_cast<size_t>(
         StallReason::ExecutionDependency)];
     EXPECT_GT(mem, 10 * std::max(1.0, exec));
 }
@@ -123,7 +123,7 @@ TEST_F(PipelineFixture, ExecDependencyStallsForSerialAlu)
     KernelDesc desc;
     desc.aluIlp = 1.0; // fully serial chain
     WaveResult r = run({aluTrace(500)}, desc);
-    double exec = r.stalls[static_cast<size_t>(
+    double exec = r.stallCycles[static_cast<size_t>(
         StallReason::ExecutionDependency)];
     EXPECT_GT(exec, 500.0); // ~ (latency-1) per instruction
 }
@@ -137,7 +137,7 @@ TEST_F(PipelineFixture, BarrierAttributesSynchronization)
         sink.barrier();
     }
     WaveResult r = run({t});
-    EXPECT_GT(r.stalls[static_cast<size_t>(
+    EXPECT_GT(r.stallCycles[static_cast<size_t>(
                   StallReason::Synchronization)], 0);
 }
 
@@ -157,7 +157,7 @@ TEST_F(PipelineFixture, BigCodeCausesFetchStalls)
     WaveResult small_r = run(make(), small_code);
     WaveResult big_r = run(make(), big_code);
     auto ifetch = [](const WaveResult &r) {
-        return r.stalls[static_cast<size_t>(
+        return r.stallCycles[static_cast<size_t>(
             StallReason::InstructionFetch)];
     };
     EXPECT_GT(ifetch(big_r), 5 * std::max(1.0, ifetch(small_r)));
@@ -202,7 +202,7 @@ TEST_F(PipelineFixture, ExtrapolationScalesTruncatedTraces)
     WarpTraceSink sink(t, /*cap=*/100, cfg.cacheLineBytes);
     sink.fma(1000); // only 100 recorded
     WaveResult r = run({t});
-    EXPECT_DOUBLE_EQ(r.issued, 1000);
+    EXPECT_DOUBLE_EQ(r.totalInstrs(), 1000);
     // Cycles are extrapolated by ~10x relative to the recorded run.
     EXPECT_GE(r.cycles, 1000);
 }

@@ -10,6 +10,7 @@
 #include "base/io.hh"
 #include "common/file_corruption.hh"
 #include "sim/warp_trace.hh"
+#include "trace/format.hh"
 #include "trace/reader.hh"
 #include "trace/toolkit.hh"
 #include "trace/writer.hh"
@@ -162,6 +163,16 @@ TEST_F(TraceFile, WrongMagicIsBadMagic)
 TEST_F(TraceFile, FutureVersionIsBadVersion)
 {
     test::flipByteAt(path_, 8); // low byte of the version word
+    EXPECT_EQ(readKind(), IoError::Kind::BadVersion);
+}
+
+TEST_F(TraceFile, PreviousVersionIsBadVersion)
+{
+    std::vector<uint8_t> bytes = readFileBytes(path_);
+    const uint32_t previous = kTraceFormatVersion - 1;
+    for (size_t i = 0; i < sizeof(previous); ++i) // little-endian word
+        bytes[8 + i] = static_cast<uint8_t>(previous >> (8 * i));
+    writeFileBytes(path_, bytes);
     EXPECT_EQ(readKind(), IoError::Kind::BadVersion);
 }
 

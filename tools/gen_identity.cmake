@@ -13,13 +13,17 @@
 #     degree and training sections, stays within its residency budget,
 #     keeps the hyperbolic power-law tail and a falling loss, and
 #     leaves the wall-clock figures to the --telemetry record.
+#  3. Telemetry: two --telemetry captures of the same run pass
+#     `bench_diff --tol 0` with no --ignore, so the record's wall-clock
+#     keys fall under bench_diff's by-name `host_*` skip.
 #
 # Invoke as
-#   cmake -DGNNMARK_BIN=<path-to-gnnmark> -P gen_identity.cmake
+#   cmake -DGNNMARK_BIN=<gnnmark> -DBENCH_DIFF_BIN=<bench_diff>
+#         -P gen_identity.cmake
 
 cmake_minimum_required(VERSION 3.19)
 include(${CMAKE_CURRENT_LIST_DIR}/test_helpers.cmake)
-require_vars(GNNMARK_BIN)
+require_vars(GNNMARK_BIN BENCH_DIFF_BIN)
 
 set(gen_args gen --family hyperbolic --n 20000 --m 200000 --seed 99
     --stats --json)
@@ -162,7 +166,20 @@ if(NOT type STREQUAL "generation" OR NOT label STREQUAL "gen")
         "telemetry record is type '${type}' label '${label}', want "
         "'generation'/'gen'")
 endif()
-require_json("${record}" "generation telemetry record" wall_sec
-    edges_per_sec)
+require_json("${record}" "generation telemetry record" host_wall_sec
+    host_edges_per_sec)
 string(JSON edges GET "${stream}" edges)
 message(STATUS "generation schema ok: ${edges} edges")
+
+# Two captures of one run differ only in wall clock, which bench_diff
+# skips by name; any other key that differs is a determinism break or
+# a wall-clock key outside the host_* convention.
+foreach(capture a b)
+    run_checked(unused COMMAND ${GNNMARK_BIN} gen --family rmat --n 4096
+        --stats --stream --train-window 3
+        --telemetry gen_identity_telemetry_${capture}.jsonl)
+endforeach()
+run_checked(unused COMMAND ${BENCH_DIFF_BIN}
+    gen_identity_telemetry_a.jsonl gen_identity_telemetry_b.jsonl --tol 0)
+file(REMOVE gen_identity_telemetry_a.jsonl gen_identity_telemetry_b.jsonl)
+message(STATUS "generation telemetry identical under bench_diff --tol 0")

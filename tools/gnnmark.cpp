@@ -838,23 +838,6 @@ opsDense(Rng &rng, int64_t rows, int64_t cols, double zero_frac)
     return t;
 }
 
-/** Deterministic sparse operand at the requested density. */
-CsrMatrix
-opsCsr(Rng &rng, int64_t rows, int64_t cols, double density)
-{
-    std::vector<std::tuple<int32_t, int32_t, float>> triples;
-    for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < cols; ++c) {
-            if (rng.bernoulli(density)) {
-                triples.emplace_back(static_cast<int32_t>(r),
-                                     static_cast<int32_t>(c),
-                                     rng.uniform(-1.0f, 1.0f));
-            }
-        }
-    }
-    return csrFromTriples(rows, cols, std::move(triples));
-}
-
 /**
  * The sweep row's fields: --json and --telemetry carry the
  * deterministic ones; host time is in the table alone.
@@ -953,7 +936,7 @@ cmdOps(const Args &args)
         Rng rng(args.seed ^ static_cast<uint64_t>(
                                 sc.rows * 40503 + sc.f));
         const CsrMatrix csr =
-            opsCsr(rng, sc.rows, sc.cols, sc.density);
+            uniformRandomCsr(rng, sc.rows, sc.cols, sc.density);
         const Tensor b = opsDense(rng, sc.cols, sc.f, 0.0);
         for (SparseFormat format : formats) {
             const SparseMatrix a =
