@@ -52,6 +52,12 @@ ThreadPool::onWorkerThread()
     return onWorker;
 }
 
+bool
+ThreadPool::runsInline() const
+{
+    return threads_ == 1 || onWorker || inParallelRegion;
+}
+
 int
 ThreadPool::currentWorkerIndex()
 {
@@ -149,7 +155,7 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
     // publishing a second job would clobber the first. Per-chunk
     // invocation is preserved so that parallel_reduce sees identical
     // chunk partials either way.
-    if (threads_ == 1 || chunks == 1 || onWorker || inParallelRegion) {
+    if (chunks == 1 || runsInline()) {
         for (int64_t b = begin; b < end; b += grain)
             fn(b, std::min(end, b + grain));
         return;

@@ -4,16 +4,20 @@
  * primitive for the CPU-side numeric kernels.
  *
  * Threading contract (see DESIGN.md "Threading model"):
- *  - Only raw numeric loops run on worker threads. Kernel emission,
- *    `ExecContext::device()` (thread-local) and every simulator
- *    structure stay on the launching thread, so all timing-model
- *    output is independent of the thread count.
+ *  - Only raw numeric loops run on worker threads, plus one
+ *    simulator loop: a large L2 footprint install
+ *    (`CacheModel::installSpans`) walks disjoint set ranges in
+ *    parallel, stamping each line with the clock the serial walk
+ *    gives it. Kernel emission, `ExecContext::device()`
+ *    (thread-local) and every other simulator step stay on the
+ *    launching thread, so all timing-model output is independent of
+ *    the thread count.
  *  - Chunk boundaries are a pure function of (begin, end, grain) and
  *    never of the thread count, so any reduction that combines
  *    per-chunk partials in chunk order is bitwise identical whether
  *    the pool runs 1 thread or 64.
- *  - Nested calls (a parallelFor issued from inside a worker) degrade
- *    to serial execution on the calling worker.
+ *  - Nested calls (a parallelFor issued from inside a running job)
+ *    degrade to serial execution on the calling thread.
  *
  * The pool size defaults to std::thread::hardware_concurrency() and
  * can be overridden with the GNNMARK_THREADS environment variable
@@ -64,6 +68,13 @@ class ThreadPool
      */
     void parallelFor(int64_t begin, int64_t end, int64_t grain,
                      const std::function<void(int64_t, int64_t)> &fn);
+
+    /**
+     * True when a parallelFor() issued from the calling thread would
+     * run its chunks inline: a one-thread pool, or a call from inside
+     * a running job (worker or caller chunk body).
+     */
+    bool runsInline() const;
 
     /** True when the current thread is a pool worker. */
     static bool onWorkerThread();

@@ -1,10 +1,12 @@
 #include "sim/cache_model.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "base/cpu_features.hh"
 #include "base/logging.hh"
+#include "base/thread_pool.hh"
 
 #if GNNMARK_AVX2
 #include <immintrin.h>
@@ -37,14 +39,21 @@ CacheModel::CacheModel(uint64_t size_bytes, int assoc, int line_bytes)
 }
 
 #if GNNMARK_AVX2
+namespace {
+
+/**
+ * CacheModel::scanSetAvx2() over one set's `assoc` tags and lastUse
+ * stamps. Inline here so the AVX2 copy of the walk pays no call per
+ * missed line.
+ */
 __attribute__((target("avx2"))) inline int
-CacheModel::scanSetAvx2(uint64_t line, size_t base) const
+scanAvx2(const uint64_t *set_tags, const uint64_t *set_use, int assoc,
+         uint64_t line)
 {
-    const auto *tags =
-        reinterpret_cast<const __m256i *>(tags_.data() + base);
+    const auto *tags = reinterpret_cast<const __m256i *>(set_tags);
     const __m256i key = _mm256_set1_epi64x(static_cast<long long>(line));
     uint64_t match = 0;
-    for (int g = 0; g < assoc_ / 4; ++g) {
+    for (int g = 0; g < assoc / 4; ++g) {
         const __m256i eq =
             _mm256_cmpeq_epi64(_mm256_loadu_si256(tags + g), key);
         match |= static_cast<uint64_t>(_mm256_movemask_pd(
@@ -58,12 +67,11 @@ CacheModel::scanSetAvx2(uint64_t line, size_t base) const
     // Min over the same lruKey() packing as lruWay(). Keys stay below
     // 2^63, so the signed 64-bit compare orders them exactly, and the
     // way bits make every key distinct.
-    const auto *use =
-        reinterpret_cast<const __m256i *>(lastUse_.data() + base);
+    const auto *use = reinterpret_cast<const __m256i *>(set_use);
     __m256i way = _mm256_setr_epi64x(0, 1, 2, 3);
     const __m256i four = _mm256_set1_epi64x(4);
     __m256i best = _mm256_set1_epi64x(~0ULL >> 1);
-    for (int g = 0; g < assoc_ / 4; ++g) {
+    for (int g = 0; g < assoc / 4; ++g) {
         const __m256i k = _mm256_or_si256(
             _mm256_slli_epi64(_mm256_loadu_si256(use + g), 6), way);
         best = _mm256_blendv_epi8(best, k, _mm256_cmpgt_epi64(best, k));
@@ -76,77 +84,130 @@ CacheModel::scanSetAvx2(uint64_t line, size_t base) const
     m = _mm_blendv_epi8(m, hi, _mm_cmpgt_epi64(m, hi));
     return ~static_cast<int>(_mm_cvtsi128_si64(m) & 63);
 }
+
+} // namespace
 #endif
 
 template <bool kAvx2>
-[[gnu::always_inline]] inline int64_t
-CacheModel::walkLines(uint64_t addr, uint64_t bytes, int64_t max_lines)
+[[gnu::always_inline]] inline uint64_t
+CacheModel::walkSets(std::span<const LineSpan> spans, uint64_t set_lo,
+                     uint64_t set_hi, uint64_t clock)
 {
-    uint64_t line = addr >> lineShift_;
-    const int64_t span = static_cast<int64_t>(
-        (bytes + static_cast<uint64_t>(lineBytes_) - 1) >> lineShift_);
-    const int64_t count = std::min<int64_t>(span, max_lines);
-    // Consecutive lines map to consecutive sets, so one reduction
-    // seeds an increment-and-wrap walk; each step is exactly access().
+    const auto sets = static_cast<int64_t>(numSets_);
+    const auto width = static_cast<int64_t>(set_hi - set_lo);
+    uint64_t *tags = tags_.data();
+    uint64_t *use = lastUse_.data();
+    uint64_t hits = 0;
     // Adjacent sets tend to hold a range's tags at the same way index
     // (they were filled during the same pass), so the previous line's
-    // way is probed first — a pure scan-order shortcut (see scanFill).
-    uint64_t set = setIndex(line);
+    // way is probed first — a pure scan-order shortcut (see scanSet).
     int hint = 0;
-    for (int64_t i = 0; i < count; ++i) {
-        const size_t base = static_cast<size_t>(set) * assoc_;
-        ++clock_;
-        if (tags_[base + hint] == line) {
-            hitAt(base, hint);
-        } else {
-            int r;
-            if constexpr (kAvx2)
-                r = settle(line, base, scanSetAvx2(line, base));
-            else
-                r = scanFill(line, base);
-            hint = r >= 0 ? r : ~r;
+    for (const LineSpan &span : spans) {
+        // Line i of the span sits in set (s0 + i) mod sets. With
+        // d = (s0 - set_lo) mod sets, the lines in [set_lo, set_hi)
+        // are one run per wrap of the span: lines [r, r + width) for
+        // r = -d, -d + sets, ..., clipped to the span, in sets set_lo,
+        // set_lo + 1, ...
+        const auto d = static_cast<int64_t>(
+            (setIndex(span.first) + numSets_ - set_lo) % numSets_);
+        for (int64_t r = -d; r < span.count; r += sets) {
+            const int64_t begin = std::max<int64_t>(r, 0);
+            const int64_t end = std::min(r + width, span.count);
+            uint64_t line = span.first + static_cast<uint64_t>(begin);
+            size_t base = static_cast<size_t>(
+                              set_lo + static_cast<uint64_t>(begin - r)) *
+                          assoc_;
+            uint64_t now = clock + static_cast<uint64_t>(begin);
+            for (int64_t i = begin; i < end; ++i) {
+                ++now;
+                if (tags[base + hint] == line) {
+                    use[base + hint] = now;
+                    ++hits;
+                } else {
+#if GNNMARK_AVX2
+                    const int w =
+                        kAvx2 ? scanAvx2(tags + base, use + base, assoc_, line)
+                              : scanSet(line, base);
+#else
+                    const int w = scanSet(line, base);
+#endif
+                    hits += w >= 0;
+                    hint = w >= 0 ? w : ~w;
+                    tags[base + hint] = line;
+                    use[base + hint] = now;
+                }
+                ++line;
+                base += assoc_;
+            }
         }
-        ++line;
-        if (++set == numSets_)
-            set = 0;
+        clock += static_cast<uint64_t>(span.count);
     }
-    return count;
+    return hits;
 }
 
 #if GNNMARK_AVX2
 __attribute__((target("avx2"))) int
-CacheModel::scanFillAvx2(uint64_t line, size_t base)
+CacheModel::scanSetAvx2(uint64_t line, size_t base) const
 {
-    return settle(line, base, scanSetAvx2(line, base));
+    return scanAvx2(tags_.data() + base, lastUse_.data() + base, assoc_,
+                    line);
 }
 
-// The walk inlined around scanSetAvx2(), so a bulk install pays no
-// call per missed line.
-__attribute__((target("avx2"))) int64_t
-CacheModel::accessLinesAvx2(uint64_t addr, uint64_t bytes,
-                            int64_t max_lines)
+__attribute__((target("avx2"))) uint64_t
+CacheModel::walkSetsAvx2(std::span<const LineSpan> spans, uint64_t set_lo,
+                         uint64_t set_hi, uint64_t clock)
 {
-    return walkLines<true>(addr, bytes, max_lines);
+    return walkSets<true>(spans, set_lo, set_hi, clock);
 }
 #else
 int
-CacheModel::scanFillAvx2(uint64_t, size_t)
+CacheModel::scanSetAvx2(uint64_t, size_t) const
 {
     GNN_PANIC("AVX2 cache scan is not compiled in");
 }
 
-int64_t
-CacheModel::accessLinesAvx2(uint64_t, uint64_t, int64_t)
+uint64_t
+CacheModel::walkSetsAvx2(std::span<const LineSpan>, uint64_t, uint64_t,
+                         uint64_t)
 {
     GNN_PANIC("AVX2 cache scan is not compiled in");
 }
 #endif
 
 int64_t
-CacheModel::accessLines(uint64_t addr, uint64_t bytes, int64_t max_lines)
+CacheModel::installSpans(std::span<const LineSpan> spans)
 {
-    return vectorScan_ ? accessLinesAvx2(addr, bytes, max_lines)
-                       : walkLines<false>(addr, bytes, max_lines);
+    int64_t lines = 0;
+    for (const LineSpan &span : spans)
+        lines += span.count;
+    const auto walk = [&](uint64_t set_lo, uint64_t set_hi) {
+        return vectorScan_ ? walkSetsAvx2(spans, set_lo, set_hi, clock_)
+                           : walkSets<false>(spans, set_lo, set_hi, clock_);
+    };
+    ThreadPool &pool = ThreadPool::instance();
+    uint64_t hits = 0;
+    if (lines < kParallelLines || numSets_ < 2 || pool.runsInline()) {
+        hits = walk(0, numSets_);
+    } else {
+        // Each part owns the ways of its set range, so the parts write
+        // disjoint state; their hit counts are summed in part order.
+        const auto parts = static_cast<int64_t>(
+            std::min<uint64_t>(kSetParts, numSets_));
+        std::array<uint64_t, kSetParts> part_hits{};
+        pool.parallelFor(0, parts, 1, [&](int64_t begin, int64_t end) {
+            for (int64_t p = begin; p < end; ++p) {
+                const auto q = static_cast<uint64_t>(p);
+                part_hits[q] =
+                    walk(numSets_ * q / parts, numSets_ * (q + 1) / parts);
+            }
+        });
+        for (const uint64_t h : part_hits)
+            hits += h;
+    }
+    clock_ += static_cast<uint64_t>(lines);
+    hits_ += hits;
+    misses_ += static_cast<uint64_t>(lines) - hits;
+    return lines;
 }
 
 bool

@@ -7,11 +7,20 @@
 #ifndef GNNMARK_SIM_CACHE_MODEL_HH
 #define GNNMARK_SIM_CACHE_MODEL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace gnnmark {
+
+/** `count` consecutive lines starting at line index `first`. */
+struct LineSpan
+{
+    uint64_t first;
+    int64_t count;
+};
 
 /**
  * A classic set-associative cache with true-LRU replacement.
@@ -37,19 +46,52 @@ class CacheModel
     bool access(uint64_t addr)
     {
         const uint64_t line = addr >> lineShift_;
-        return accessLine(line, setIndex(line));
+        const size_t base = static_cast<size_t>(setIndex(line)) * assoc_;
+        const int r = scanSet(line, base);
+        const size_t at = base + static_cast<size_t>(r >= 0 ? r : ~r);
+        tags_[at] = line;
+        lastUse_[at] = ++clock_;
+        ++(r >= 0 ? hits_ : misses_);
+        return r >= 0;
     }
 
     /**
-     * access() ceil(bytes / line_bytes) consecutive lines, starting at
-     * the one holding addr, at most max_lines of them — the bulk
-     * footprint-install path. State and statistics end up identical
-     * to the equivalent per-line access() loop; the sequential walk
-     * just pays the set-index reduction once.
+     * The span of ceil(bytes / line_bytes) consecutive lines starting
+     * at the one holding addr, cut to at most max_lines (>= 0) of them.
+     */
+    LineSpan lineSpan(uint64_t addr, uint64_t bytes,
+                      int64_t max_lines) const
+    {
+        const auto lines = static_cast<int64_t>(
+            (bytes + static_cast<uint64_t>(lineBytes_) - 1) >> lineShift_);
+        return {addr >> lineShift_,
+                std::max<int64_t>(0, std::min(lines, max_lines))};
+    }
+
+    /**
+     * access() every line of every span, span by span and line by
+     * line in order: the bulk footprint-install path. State and
+     * statistics end up identical to the equivalent per-line access()
+     * loop for any pool size.
+     *
+     * Consecutive lines map to consecutive sets, and a set's LRU
+     * choices depend only on the order of its own accesses. So an
+     * install of at least kParallelLines lines splits [0, numSets())
+     * into kSetParts contiguous set ranges run on the thread pool,
+     * each walking only its own sets' lines; line k of the install is
+     * stamped with the clock the serial walk would give it. Smaller
+     * installs, and calls from inside a pool job or with a one-thread
+     * pool, walk the whole set range on the calling thread.
      * @return lines touched.
      */
-    int64_t accessLines(uint64_t addr, uint64_t bytes,
-                        int64_t max_lines);
+    int64_t installSpans(std::span<const LineSpan> spans);
+
+    /** installSpans() of lineSpan(addr, bytes, max_lines). */
+    int64_t accessLines(uint64_t addr, uint64_t bytes, int64_t max_lines)
+    {
+        const LineSpan span = lineSpan(addr, bytes, max_lines);
+        return installSpans({&span, 1});
+    }
 
     /** Look up without filling on miss (used for bypass modelling). */
     bool probe(uint64_t addr) const;
@@ -72,6 +114,11 @@ class CacheModel
     int assoc() const { return assoc_; }
 
   private:
+    /** installSpans() at or above this many lines runs on the pool. */
+    static constexpr int64_t kParallelLines = 4096;
+    /** Contiguous set ranges a pooled installSpans() is split into. */
+    static constexpr int kSetParts = 8;
+
     /**
      * Reduce a line index to its set. Power-of-two set counts (every
      * L1/L0I/L1I geometry, most L2 points) take the mask path; the
@@ -84,62 +131,41 @@ class CacheModel
         return setMask_ != 0 ? (line & setMask_) : (line % numSets_);
     }
 
-    /** One lookup with the set index already reduced. */
-    bool accessLine(uint64_t line, uint64_t set)
-    {
-        ++clock_;
-        return scanFill(line, static_cast<size_t>(set) * assoc_) >= 0;
-    }
-
     /**
-     * Scan/fill one set with clock_ already advanced. Returns the way
-     * hit (>= 0) or ~way filled (< 0). The scan order over ways is
-     * unobservable — a line appears in a set at most once — so
-     * callers may probe a likely way first without changing results.
-     */
-    int scanFill(uint64_t line, size_t base)
-    {
-        if (vectorScan_)
-            return scanFillAvx2(line, base);
-        const int hit_w = findWay(line, base);
-        return settle(line, base, hit_w >= 0 ? hit_w : ~lruWay(base));
-    }
-
-    /** scanFill() through scanSetAvx2(), when vectorScan_ is set. */
-    int scanFillAvx2(uint64_t line, size_t base);
-
-    /**
-     * The tag match and the LRU min done four ways per AVX2
-     * instruction, with no state change: returns the way hit (>= 0)
-     * or ~the victim. It picks the same way as findWay()/lruWay(), so
-     * state stays bit-identical to the scalar scan. Inline in
-     * cache_model.cc only, so walkLines<true>() pays no call per miss.
-     */
-    int scanSetAvx2(uint64_t line, size_t base) const;
-
-    /**
-     * Commit a scan result r: a hit on way r (>= 0), or line filled
-     * into way ~r. Both scans end here. Returns r.
-     */
-    int settle(uint64_t line, size_t base, int r)
-    {
-        if (r >= 0)
-            return hitAt(base, r);
-        tags_[base + ~r] = line;
-        lastUse_[base + ~r] = clock_;
-        ++misses_;
-        return r;
-    }
-
-    /**
-     * accessLines() body: walk the range set by set, through
-     * scanSetAvx2() when kAvx2 and scanFill() otherwise.
-     * accessLinesAvx2() is the AVX2-targeted copy of the walk.
+     * The installSpans() walk over the lines whose set lies in
+     * [set_lo, set_hi), with `clock` the clock before the install's
+     * first line. Writes only those sets' ways and no member counter.
+     * kAvx2 inlines the vector scan; walkSetsAvx2() is that copy,
+     * compiled for AVX2.
+     * @return hits among the lines walked.
      */
     template <bool kAvx2>
-    int64_t walkLines(uint64_t addr, uint64_t bytes, int64_t max_lines);
-    int64_t accessLinesAvx2(uint64_t addr, uint64_t bytes,
-                            int64_t max_lines);
+    uint64_t walkSets(std::span<const LineSpan> spans, uint64_t set_lo,
+                      uint64_t set_hi, uint64_t clock);
+    uint64_t walkSetsAvx2(std::span<const LineSpan> spans, uint64_t set_lo,
+                          uint64_t set_hi, uint64_t clock);
+
+    /**
+     * The tag match and the LRU choice for line in the set at base,
+     * with no state change: returns the way hit (>= 0) or ~the victim
+     * (< 0). Every lookup goes through here. The scan order over ways
+     * is unobservable — a line appears in a set at most once — so
+     * callers may probe a likely way first without changing results.
+     */
+    int scanSet(uint64_t line, size_t base) const
+    {
+        if (vectorScan_)
+            return scanSetAvx2(line, base);
+        const int hit_w = findWay(line, base);
+        return hit_w >= 0 ? hit_w : ~lruWay(base);
+    }
+
+    /**
+     * scanSet() four ways per AVX2 instruction, when vectorScan_ is
+     * set. It picks the same way as findWay()/lruWay(), so state stays
+     * bit-identical to the scalar scan.
+     */
+    int scanSetAvx2(uint64_t line, size_t base) const;
 
     /** The way holding line, or -1. */
     int findWay(uint64_t line, size_t base) const
@@ -199,13 +225,6 @@ class CacheModel
         return (last_use << 6) | static_cast<uint64_t>(way);
     }
 
-    int hitAt(size_t base, int way)
-    {
-        lastUse_[base + way] = clock_;
-        ++hits_;
-        return way;
-    }
-
     // Structure-of-arrays way storage (set-major): the tag scan is the
     // hottest loop in the simulator and contiguous u64 tags keep it in
     // as few host cache lines as possible. A line index never equals
@@ -220,7 +239,7 @@ class CacheModel
     int lineShift_;
     uint64_t numSets_;
     uint64_t setMask_ = 0; ///< numSets_ - 1 when pow2, else 0 (modulo)
-    bool vectorScan_ = false; ///< scanFillAvx2() serves scanFill()
+    bool vectorScan_ = false; ///< scanSetAvx2() serves scanSet()
     std::vector<uint64_t> tags_;    // numSets_ * assoc_
     std::vector<uint64_t> lastUse_; // numSets_ * assoc_
     uint64_t clock_ = 0;

@@ -157,15 +157,18 @@ GpuDevice::launch(const KernelDesc &desc)
     // Install the kernel's full data footprint into the L2 (the
     // sampled warps covered only a slice of it): the write-allocate
     // output spans first, then the grid-wide read spans with whatever
-    // is left of the line budget.
+    // is left of the line budget, installed as one call.
+    std::vector<LineSpan> spans;
     int64_t line_budget = 32768;
     for (const auto *ranges : {&desc.outputRanges, &desc.inputRanges}) {
         for (const auto &[addr, bytes] : *ranges) {
             if (line_budget <= 0)
                 break;
-            line_budget -= l2_.accessLines(addr, bytes, line_budget);
+            spans.push_back(l2_.lineSpan(addr, bytes, line_budget));
+            line_budget -= spans.back().count;
         }
     }
+    l2_.installSpans(spans);
 
     kernelTime_ += rec.timeSec;
     ++kernelCount_;

@@ -158,9 +158,10 @@ sweepTrace(const RecordedTrace &trace,
            const std::vector<GpuConfig> &configs)
 {
     // Each replay owns its device/profiler and the trace is read-only,
-    // so sweep points run concurrently on the shared pool. The sim
-    // itself never touches the pool (only CPU numeric kernels do, and
-    // a replay runs none), so there is no nesting to degrade.
+    // so sweep points run concurrently on the shared pool. Inside a
+    // point the L2 install finds itself in a pool job and walks its
+    // sets serially on that point's thread: the points already fill
+    // the pool.
     std::vector<ReplayResult> results(configs.size());
     ThreadPool::instance().parallelFor(
         0, static_cast<int64_t>(configs.size()), 1,

@@ -100,14 +100,23 @@ TEST(ThreadPool, ChunkBoundariesIndependentOfThreadCount)
 TEST(ThreadPool, NestedParallelForFallsBackToSerial)
 {
     ThreadCountGuard guard(4);
+    ThreadPool &pool = ThreadPool::instance();
+    EXPECT_FALSE(pool.runsInline());
     std::atomic<int64_t> total{0};
+    std::atomic<int> inline_bodies{0};
     parallel_for(0, 8, 1, [&](int64_t, int64_t) {
+        // Every chunk body, on a worker or the caller, is inside a job.
+        inline_bodies += pool.runsInline() ? 1 : 0;
         // Inner loop must not deadlock on the (busy) outer pool.
         parallel_for(0, 10, 2, [&](int64_t b, int64_t e) {
             total += e - b;
         });
     });
     EXPECT_EQ(total.load(), 80);
+    EXPECT_EQ(inline_bodies.load(), 8);
+    EXPECT_FALSE(pool.runsInline());
+    ThreadCountGuard serial(1);
+    EXPECT_TRUE(pool.runsInline());
 }
 
 TEST(ThreadPool, ReduceMatchesSerialSum)

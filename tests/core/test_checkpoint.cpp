@@ -138,7 +138,11 @@ class CheckpointFile : public ::testing::Test
     {
         auto wl = BenchmarkSuite::create("STGCN");
         wl->setup(smallConfig());
-        path_ = ::testing::TempDir() + "gnnmark_ckpt_io.bin";
+        // One file per test: ctest runs the cases as parallel processes.
+        const auto *test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        path_ = ::testing::TempDir() + "gnnmark_ckpt_io_" + test->name() +
+                ".bin";
         writeCheckpointFile(path_, captureCheckpoint(*wl, 0));
     }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "base/rng.hh"
+#include "base/thread_pool.hh"
 #include "sim/cache_model.hh"
 
 using namespace gnnmark;
@@ -185,6 +186,19 @@ class ReferenceLru
         return count;
     }
 
+    /** The per-line access() loop that CacheModel::installSpans names. */
+    int64_t
+    installSpans(const std::vector<LineSpan> &spans)
+    {
+        int64_t lines = 0;
+        for (const LineSpan &span : spans) {
+            for (int64_t i = 0; i < span.count; ++i)
+                access((span.first + static_cast<uint64_t>(i)) * kLine);
+            lines += span.count;
+        }
+        return lines;
+    }
+
     void
     flush()
     {
@@ -216,10 +230,12 @@ struct Step
 };
 
 /**
- * A seeded mix of access() (90%, half of them in a hot region of a
+ * A seeded mix of access() (86%, half of them in a hot region of a
  * quarter of the capacity), accessLines() (9%, unaligned starts, up
- * to a capacity of lines, sometimes cut by max_lines) and flush()
- * (1%) over an address range twice the capacity. Records every step;
+ * to a capacity of lines, sometimes cut by max_lines), installSpans()
+ * (4%, one to four spans of up to three capacities of lines each, so
+ * the larger geometries cross the pool threshold) and flush() (1%)
+ * over an address range twice the capacity. Records every step;
  * `lines` counts the lines the calls touched.
  */
 template <class Model>
@@ -244,6 +260,14 @@ driveMix(Model &m, uint64_t sets, int assoc, uint64_t seed, int calls,
             const int64_t max_lines =
                 rng.randint(int64_t{1}, static_cast<int64_t>(cap / kLine));
             ret = m.accessLines(addr, bytes, max_lines);
+            touched += static_cast<uint64_t>(ret);
+        } else if (pick < 14) {
+            std::vector<LineSpan> spans(rng.randint(int64_t{1}, 4));
+            for (LineSpan &span : spans) {
+                span.first = rng.randint(2 * cap) / kLine;
+                span.count = static_cast<int64_t>(rng.randint(3 * cap / kLine));
+            }
+            ret = m.installSpans(spans);
             touched += static_cast<uint64_t>(ret);
         } else {
             const uint64_t range = rng.bernoulli(0.5) ? cap / 4 : 2 * cap;
@@ -331,6 +355,85 @@ TEST(CacheModel, AccessLinesEqualsPerLineAccessLoop)
         for (uint64_t a = 0; a < 3 * cap; a += kLine)
             ASSERT_EQ(bulk.probe(a), loop.probe(a)) << "addr " << a;
     }
+}
+
+TEST(CacheModel, InstallSpansMatchesPerLineLoop)
+{
+    // One model takes each install as one installSpans() call, the
+    // other as the per-line access() loop; single access() calls in
+    // between expose any difference in recency. Counters after every
+    // call and probed contents at the end must agree, whether the
+    // pool walks the install serially (one thread, or under 4096
+    // lines) or splits it by set range (2 and 4 threads).
+    ThreadPool &pool = ThreadPool::instance();
+    const int threads_before = pool.threadCount();
+    for (const int threads : {1, 2, 4}) {
+        pool.setThreadCount(threads);
+        for (const uint64_t sets : {uint64_t{1}, uint64_t{16}, uint64_t{24},
+                                    uint64_t{3072}, uint64_t{4096}}) {
+            for (const int assoc : {4, 16}) {
+                const uint64_t cap_lines = sets * assoc;
+                CacheModel bulk(cap_lines * kLine, assoc, kLine);
+                CacheModel loop(cap_lines * kLine, assoc, kLine);
+                Rng rng(sets * 131 + static_cast<uint64_t>(assoc));
+                for (int call = 0; call < 24; ++call) {
+                    // Alternate totals under and over the threshold.
+                    const int64_t target = call % 2 == 0 ? 3000 : 9000;
+                    std::vector<LineSpan> spans;
+                    for (int64_t total = 0; total < target;) {
+                        LineSpan span;
+                        const uint64_t kind = rng.randint(8);
+                        if (kind == 0) {
+                            span = {rng.randint(3 * cap_lines), 0};
+                        } else if (kind == 1 && !spans.empty()) {
+                            // Overlaps the previous span.
+                            span = spans.back();
+                            span.first += rng.randint(
+                                static_cast<uint64_t>(span.count) + 1);
+                        } else {
+                            // Up to 2.5 wraps of the set range, often
+                            // starting near the last set.
+                            span.first = rng.bernoulli(0.5)
+                                             ? rng.randint(3 * cap_lines)
+                                             : sets * (1 + rng.randint(7)) -
+                                                   1 - rng.randint(sets);
+                            span.count = rng.randint(
+                                int64_t{1},
+                                static_cast<int64_t>(5 * sets / 2 + 64));
+                        }
+                        span.count = std::min(span.count, target - total);
+                        total += span.count;
+                        spans.push_back(span);
+                    }
+                    int64_t want = 0;
+                    for (const LineSpan &span : spans) {
+                        for (int64_t i = 0; i < span.count; ++i)
+                            loop.access(
+                                (span.first + static_cast<uint64_t>(i)) *
+                                kLine);
+                        want += span.count;
+                    }
+                    ASSERT_EQ(bulk.installSpans(spans), want);
+                    ASSERT_EQ(bulk.hits(), loop.hits())
+                        << "threads " << threads << " sets " << sets
+                        << " assoc " << assoc << " call " << call;
+                    ASSERT_EQ(bulk.misses(), loop.misses());
+                    for (int k = 0; k < 64; ++k) {
+                        const uint64_t addr =
+                            rng.randint(3 * cap_lines) * kLine;
+                        ASSERT_EQ(bulk.access(addr), loop.access(addr));
+                    }
+                }
+                for (uint64_t line = 0; line < 4 * cap_lines; ++line) {
+                    ASSERT_EQ(bulk.probe(line * kLine),
+                              loop.probe(line * kLine))
+                        << "threads " << threads << " sets " << sets
+                        << " assoc " << assoc << " line " << line;
+                }
+            }
+        }
+    }
+    pool.setThreadCount(threads_before);
 }
 
 TEST(CacheModelInvariants, HitsPlusMissesCountEveryLine)

@@ -73,7 +73,11 @@ class TraceFile : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "gnnmark_trace_io.gnntrace";
+        // One file per test: ctest runs the cases as parallel processes.
+        const auto *test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        path_ = ::testing::TempDir() + "gnnmark_trace_io_" + test->name() +
+                ".gnntrace";
         writeTraceFile(path_, makeTrace());
     }
 
