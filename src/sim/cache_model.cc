@@ -186,7 +186,7 @@ CacheModel::installSpans(std::span<const LineSpan> spans)
     };
     ThreadPool &pool = ThreadPool::instance();
     uint64_t hits = 0;
-    if (lines < kParallelLines || numSets_ < 2 || pool.runsInline()) {
+    if (lines < kParallelLines || pool.runsInline()) {
         hits = walk(0, numSets_);
     } else {
         // Each part owns the ways of its set range, so the parts write
